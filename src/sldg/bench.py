@@ -255,7 +255,7 @@ class ResultRow:
     l2_order: float | None = None
     linf_order: float | None = None
     seconds: float = 0.0
-    mass_drift: float = 0.0
+    mass_defect: float = 0.0    # |m(T) - m(0) - source mass|
 
 
 @dataclass
@@ -292,14 +292,22 @@ def _stepper(problem: Problem, mesh, cfg: StudyConfig) -> Stepper:
     )
 
 
+def _time_step(problem: Problem, mesh, cfg: StudyConfig, cfl: float) -> float:
+    if cfg.dt_dx is not None:
+        return cfg.dt_dx * mesh.dx
+    return cfl_to_dt(cfl, mesh, problem.velocity)
+
+
+def _mass_defect(stepper: Stepper, u0: DGField, u: DGField) -> float:
+    """Mass change not accounted for by the source term."""
+    return abs(total_mass(u) - total_mass(u0) - stepper.source_mass)
+
+
 def _run_single(problem: Problem, cfg: StudyConfig, n: int, cfl: float,
                 snap_dt: bool = False):
     mesh = problem.mesh(n)
     stepper = _stepper(problem, mesh, cfg)
-    if cfg.dt_dx is not None:
-        dt = cfg.dt_dx * mesh.dx
-    else:
-        dt = cfl_to_dt(cfl, mesh, problem.velocity)
+    dt = _time_step(problem, mesh, cfg, cfl)
     if snap_dt:
         # temporal-order measurement: make dt divide T exactly, so the
         # truncated final step cannot distort the step-size scaling
@@ -308,16 +316,13 @@ def _run_single(problem: Problem, cfg: StudyConfig, n: int, cfl: float,
     t0 = time.perf_counter()
     uT = stepper.run(u0, problem.T, dt)
     seconds = time.perf_counter() - t0
-    drift = abs(total_mass(uT) - total_mass(u0))
-    return uT, seconds, drift, dt
+    return uT, seconds, _mass_defect(stepper, u0, uT), dt
 
 
-def _reference_exact(problem: Problem, cfg: StudyConfig) -> Callable:
-    """Errors against a refined-mesh run when no closed form is available."""
-    ref_field, _, _, _ = _run_single(problem, cfg, cfg.reference, _first_cfl(cfg))
-    if problem.ndim == 1:
-        return lambda x, t: ref_field.evaluate(x)
-    return lambda x, y, t: ref_field.evaluate(x, y)
+def _reference_exact(problem: Problem, cfg: StudyConfig, n: int, cfl: float) -> Callable:
+    """Errors against a reference run when no closed form is available."""
+    ref_field = _run_single(problem, cfg, n, cfl)[0]
+    return lambda *xt: ref_field.evaluate(*xt[:-1])
 
 
 def _first_cfl(cfg: StudyConfig):
@@ -337,16 +342,16 @@ def run_spatial_study(cfg: StudyConfig) -> StudyResult:
     if problem.exact is not None:
         exact = problem.exact
     elif cfg.reference is not None:
-        exact = _reference_exact(problem, cfg)
+        exact = _reference_exact(problem, cfg, cfg.reference, _first_cfl(cfg))
     else:
         raise ValueError("spatial study needs an exact solution or a reference mesh")
     cfl = _first_cfl(cfg)
 
     def one(n):
-        uT, seconds, drift, _ = _run_single(problem, cfg, n, cfl)
+        uT, seconds, defect, _ = _run_single(problem, cfg, n, cfl)
         l1, l2, linf = table_norms(uT, exact, problem.T, problem.volume)
         label = f"{n}^2" if problem.ndim == 2 else str(n)
-        return ResultRow(label, n, l1, l2, linf, seconds=seconds, mass_drift=drift)
+        return ResultRow(label, n, l1, l2, linf, seconds=seconds, mass_defect=defect)
 
     nworkers = _workers()
     if nworkers > 1:
@@ -373,20 +378,16 @@ def run_temporal_study(cfg: StudyConfig) -> StudyResult:
     if problem.exact is not None:
         exact = problem.exact
     elif cfg.cfl_ref is not None:
-        ref_field, _, _, _ = _run_single(problem, cfg, n, cfg.cfl_ref)
-        if problem.ndim == 1:
-            exact = lambda x, t: ref_field.evaluate(x)
-        else:
-            exact = lambda x, y, t: ref_field.evaluate(x, y)
+        exact = _reference_exact(problem, cfg, n, cfg.cfl_ref)
     else:
         raise ValueError("temporal study needs an exact solution or cfl_ref")
 
     rows = []
     eff_dt = {}
     for cfl in cfg.cfl:
-        uT, seconds, drift, dt = _run_single(problem, cfg, n, cfl, snap_dt=True)
+        uT, seconds, defect, dt = _run_single(problem, cfg, n, cfl, snap_dt=True)
         l1, l2, linf = table_norms(uT, exact, problem.T, problem.volume)
-        rows.append(ResultRow(f"{cfl:g}", cfl, l1, l2, linf, seconds=seconds, mass_drift=drift))
+        rows.append(ResultRow(f"{cfl:g}", cfl, l1, l2, linf, seconds=seconds, mass_defect=defect))
         eff_dt[cfl] = dt
     fit = sorted(rows, key=lambda r: r.n)[-cfg.fit_points:]
     slopes = {
@@ -405,17 +406,19 @@ def run_qualitative(cfg: StudyConfig) -> StudyResult:
     n = cfg.meshes[-1] if isinstance(cfg.meshes, tuple) else int(cfg.meshes)
     mesh = problem.mesh(n)
     stepper = _stepper(problem, mesh, cfg)
-    if cfg.dt_dx is not None:
-        dt = cfg.dt_dx * mesh.dx
-    else:
-        dt = cfl_to_dt(_first_cfl(cfg), mesh, problem.velocity)
+    dt = _time_step(problem, mesh, cfg, _first_cfl(cfg))
     u0 = project(problem.u0, mesh, cfg.k)
     masses = [(0.0, total_mass(u0))]
+    defects = [0.0]
+
+    def record(u):
+        masses.append((u.time, total_mass(u)))
+        defects.append(_mass_defect(stepper, u0, u))
+
     t0 = time.perf_counter()
-    uT = stepper.run(u0, problem.T, dt, callback=lambda u: masses.append((u.time, total_mass(u))))
+    uT = stepper.run(u0, problem.T, dt, callback=record)
     seconds = time.perf_counter() - t0
-    drift = max(abs(m - masses[0][1]) for _, m in masses)
-    rows = [ResultRow(str(n), n, 0.0, 0.0, 0.0, seconds=seconds, mass_drift=drift)]
+    rows = [ResultRow(str(n), n, 0.0, 0.0, 0.0, seconds=seconds, mass_defect=max(defects))]
     result = StudyResult(cfg, rows)
     if cfg.out:
         result.files = emit_qualitative(result, uT, masses, Path(cfg.out))
@@ -489,34 +492,30 @@ def emit_qualitative(result: StudyResult, field: DGField, masses, out: Path) -> 
     out.mkdir(parents=True, exist_ok=True)
     cfg = result.config
     stem = f"qualitative_{cfg.problem}_k{cfg.k}_{cfg.mode}"
-    files = []
     mesh = field.mesh
     npts = cfg.plot_points
-    if isinstance(mesh, Mesh1D):
+    mass_csv = out / f"{stem}_mass.csv"
+    mass_csv.write_text(
+        "\n".join(["t,mass"] + [f"{t:.8e},{m:.16e}" for t, m in masses]) + "\n"
+    )
+    snap = out / f"{stem}_snapshot.csv"
+    if mesh.ndim == 1:
         xs = np.linspace(mesh.x_a, mesh.x_b, 4 * npts, endpoint=False)
-        snap = out / f"{stem}_snapshot.csv"
         vals = field.evaluate(xs)
         snap.write_text(
             "\n".join(["x,u"] + [f"{p:.8e},{v:.8e}" for p, v in zip(xs, vals)]) + "\n"
         )
-        files.append(snap)
-        mass_csv = out / f"{stem}_mass.csv"
-        mass_csv.write_text(
-            "\n".join(["t,mass"] + [f"{t:.8e},{m:.16e}" for t, m in masses]) + "\n"
-        )
-        files.append(mass_csv)
-        return files
+        return [snap, mass_csv]
     xs = np.linspace(mesh.x_a, mesh.x_b, npts, endpoint=False)
     ys = np.linspace(mesh.y_a, mesh.y_b, npts, endpoint=False)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     U = field.evaluate(X, Y)
-    snap = out / f"{stem}_snapshot.csv"
     rows = ["x,y,u"]
     for i in range(npts):
         for j in range(npts):
             rows.append(f"{X[i, j]:.8e},{Y[i, j]:.8e},{U[i, j]:.8e}")
     snap.write_text("\n".join(rows) + "\n")
-    files.append(snap)
+    files = [snap]
 
     for axis, value in cfg.cuts:
         cut = out / f"{stem}_cut_{axis}_{value:g}.csv"
@@ -535,12 +534,6 @@ def emit_qualitative(result: StudyResult, field: DGField, masses, out: Path) -> 
         cut.write_text("\n".join([header] + [f"{p:.8e},{v:.8e}" for p, v in zip(ts, vals)]) + "\n")
         files.append(cut)
 
-    mass_csv = out / f"{stem}_mass.csv"
-    mass_csv.write_text(
-        "\n".join(["t,mass"] + [f"{t:.8e},{m:.16e}" for t, m in masses]) + "\n"
-    )
-    files.append(mass_csv)
-
     plot = out / f"{stem}.gp"
     plot.write_text(
         "set datafile separator ','\n"
@@ -548,5 +541,4 @@ def emit_qualitative(result: StudyResult, field: DGField, masses, out: Path) -> 
         "set view map\n"
         f"splot '{snap.name}' using 1:2:3 with points palette pointtype 5 pointsize 0.4\n"
     )
-    files.append(plot)
-    return files
+    return files + [mass_csv, plot]

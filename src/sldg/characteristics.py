@@ -2,9 +2,10 @@
 
 Characteristic feet solve the final-value problem dx/dt = a(x, t) with the
 position prescribed at the later time; the classical RK4 scheme with a fixed
-number of substeps integrates the trajectory.  All tracing routines are
-vectorized over points, and feet are returned unwrapped (periodic wrapping is
-the remap geometry's job).
+number of substeps integrates the trajectory.  Tracing is vectorized over
+points, and feet are returned unwrapped (periodic wrapping is the remap
+geometry's job).  The remap assemblers trace one lattice per time pair and
+gather every cell's points from it by offset (``cell_lattice``).
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Mesh1D, Mesh2D
+from .core import cell_multi_index
 
 # Gauss-Lobatto interpolation points on the reference cell, by degree.
 # For k = 0 the single point is the cell midpoint.
 GL_POINTS = {0: (0.0,), 1: (-0.5, 0.5), 2: (-0.5, 0.0, 0.5)}
+
+# Traced feet within this fraction of a cell width of a grid line are snapped
+# onto it, so cell assignment is stable and zero-length slivers cannot appear.
+SNAP_TOL = 1e-12
 
 # Reference positions of the traced cell points in 2D: counterclockwise
 # corners first, then edge midpoints (bottom, right, top, left), then center.
@@ -100,11 +105,12 @@ def default_substeps(cfl: float) -> int:
 def substeps_for(mesh, v: VelocityField, t_end: float, t_start: float) -> int:
     """Substep policy expressed through the interval's effective CFL number."""
     span = abs(t_end - t_start)
-    if isinstance(mesh, Mesh1D):
-        cfl = span * v.max_speed[0] / mesh.dx
-    else:
-        cfl = span * max(v.max_speed[0] / mesh.dx, v.max_speed[1] / mesh.dy)
-    return default_substeps(cfl)
+    return default_substeps(span * max(s / w for s, w in zip(v.max_speed, mesh.widths)))
+
+
+def _axes(a) -> tuple:
+    """Points or rates as a tuple of per-axis arrays; 1D ones come bare."""
+    return a if isinstance(a, tuple) else (a,)
 
 
 def trace_back(points, t_end: float, t_start: float, v: VelocityField, substeps: int):
@@ -116,69 +122,50 @@ def trace_back(points, t_end: float, t_start: float, v: VelocityField, substeps:
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+
+    def rate(x, t):
+        return _axes(v(*x, t))
+
+    def ahead(x, k, step):
+        return tuple(xi + step * ki for xi, ki in zip(x, k, strict=True))
+
     h = (t_start - t_end) / substeps
-    if v.ndim == 1:
-        x = np.array(points, dtype=float, copy=True)
-        t = t_end
-        for _ in range(substeps):
-            k1 = v(x, t)
-            k2 = v(x + 0.5 * h * k1, t + 0.5 * h)
-            k3 = v(x + 0.5 * h * k2, t + 0.5 * h)
-            k4 = v(x + h * k3, t + h)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        return x
-    x = np.array(points[0], dtype=float, copy=True)
-    y = np.array(points[1], dtype=float, copy=True)
+    x = tuple(np.array(p, dtype=float, copy=True) for p in _axes(points))
     t = t_end
     for _ in range(substeps):
-        k1x, k1y = v(x, y, t)
-        k2x, k2y = v(x + 0.5 * h * k1x, y + 0.5 * h * k1y, t + 0.5 * h)
-        k3x, k3y = v(x + 0.5 * h * k2x, y + 0.5 * h * k2y, t + 0.5 * h)
-        k4x, k4y = v(x + h * k3x, y + h * k3y, t + h)
-        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        k1 = rate(x, t)
+        k2 = rate(ahead(x, k1, 0.5 * h), t + 0.5 * h)
+        k3 = rate(ahead(x, k2, 0.5 * h), t + 0.5 * h)
+        k4 = rate(ahead(x, k3, h), t + h)
+        x = tuple(xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                  for xi, a, b, c, d in zip(x, k1, k2, k3, k4, strict=True))
         t += h
-    return x, y
+    return x if isinstance(points, tuple) else x[0]
 
 
-@dataclass(frozen=True)
-class TracedPoint:
-    """A characteristic foot: end point at t_end traced back to t_start."""
-
-    end: tuple[float, ...]
-    t_end: float
-    start: tuple[float, ...]
-    t_start: float
+def snap_index(r: np.ndarray) -> np.ndarray:
+    """Snap index-space coordinates within SNAP_TOL of a grid line onto it."""
+    rounded = np.round(r)
+    return np.where(np.abs(r - rounded) < SNAP_TOL, rounded, r)
 
 
-def trace_interval_feet(mesh: Mesh1D, j: int, t_end: float, t_start: float,
-                        v: VelocityField, k: int, substeps: int | None = None) -> list[TracedPoint]:
-    """Feet of the k+1 Gauss-Lobatto points of cell j (midpoint when k = 0)."""
-    if substeps is None:
-        substeps = substeps_for(mesh, v, t_end, t_start)
-    xc = mesh.x_a + mesh.dx * (j + 0.5)
-    src = np.array([xc + mesh.dx * p for p in GL_POINTS[k]])
-    feet = trace_back(src, t_end, t_start, v, substeps)
-    return [TracedPoint((s,), t_end, (f,), t_start) for s, f in zip(src, feet)]
+def cell_lattice(mesh, ref) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The lattice holding every cell's reference points, traced once for all cells.
 
-
-def trace_cell_vertices(mesh: Mesh2D, j: int, t_end: float, t_start: float,
-                        v: VelocityField, mode: str = "quad",
-                        substeps: int | None = None) -> list[TracedPoint]:
-    """Feet of the 4 corners (quad) or 9 uniformly spaced points (qc) of E_j."""
-    if mode not in ("quad", "qc"):
-        raise ValueError("mode must be 'quad' or 'qc'")
-    if substeps is None:
-        substeps = substeps_for(mesh, v, t_end, t_start)
-    ix, iy = j % mesh.nx, j // mesh.nx
-    cx = mesh.x_a + mesh.dx * (ix + 0.5)
-    cy = mesh.y_a + mesh.dy * (iy + 0.5)
-    ref = CELL_POINTS_4 if mode == "quad" else CELL_POINTS_9
-    sx = np.array([cx + mesh.dx * p for p, _ in ref])
-    sy = np.array([cy + mesh.dy * q for _, q in ref])
-    fx, fy = trace_back((sx, sy), t_end, t_start, v, substeps)
-    return [
-        TracedPoint((a, b), t_end, (c, d), t_start)
-        for a, b, c, d in zip(sx, sy, fx, fy)
-    ]
+    ``ref`` lists reference positions in [-1/2, 1/2]^ndim (scalars in 1D).
+    The lattice is the node grid when every position is a cell vertex and
+    the half-grid otherwise, so neighbouring cells share the feet of their
+    common points bitwise.  Returns the lattice coordinates, one flat array
+    per axis, and the (ncells, npts) lattice index of every cell's points.
+    """
+    ref = np.asarray(ref, dtype=float).reshape(len(ref), mesh.ndim)
+    r = 1 if np.all(np.abs(ref) == 0.5) else 2
+    offsets = np.rint(r * (ref + 0.5)).astype(int)
+    size = tuple(r * n + 1 for n in mesh.shape)
+    axes = [lo + w * (np.arange(m) / r) for lo, w, m in zip(mesh.lower, mesh.widths, size)]
+    points = tuple(g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    cells = cell_multi_index(mesh)
+    index = np.ravel_multi_index(
+        tuple(r * c[:, None] + offsets[None, :, a] for a, c in enumerate(cells)), size
+    )
+    return points, index

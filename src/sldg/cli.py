@@ -188,7 +188,7 @@ def main(argv: list | None = None) -> int:
             result = run_temporal_study(_study_config(opts, cfls))
         else:
             result = run_qualitative(_study_config(opts, float(opts["cfl"])))
-            print(f"final time reached; max mass drift {result.rows[0].mass_drift:.3e}")
+            print(f"final time reached; max mass defect {result.rows[0].mass_defect:.3e}")
         _print_rows(result)
     except (SolverError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

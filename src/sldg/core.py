@@ -14,7 +14,8 @@ matrix is diagonal and is stored as a per-mode diagonal only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -25,7 +26,8 @@ SUPPORTED_DEGREES = (0, 1, 2)
 # 1D modal exponents and reference mass diagonal for {1, xi, xi^2 - 1/12}.
 _MASS_1D = np.array([1.0, 1.0 / 12.0, 1.0 / 180.0])
 
-# 2D modes in canonical order (pairs of 1D mode indices).
+# Modes in canonical order, as tuples of per-axis 1D mode indices.
+_MODES_1D = ((0,), (1,), (2,))
 _MODES_2D = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
@@ -38,22 +40,6 @@ def basis_dim(k: int, ndim: int) -> int:
 def _check_degree(k: int) -> None:
     if k not in SUPPORTED_DEGREES:
         raise ValueError(f"polynomial degree must be one of {SUPPORTED_DEGREES}, got {k}")
-
-
-def _legendre_1d(xi: np.ndarray, mode: int) -> np.ndarray:
-    if mode == 0:
-        return np.ones_like(xi)
-    if mode == 1:
-        return xi
-    return xi * xi - 1.0 / 12.0
-
-
-def _legendre_1d_deriv(xi: np.ndarray, mode: int) -> np.ndarray:
-    if mode == 0:
-        return np.zeros_like(xi)
-    if mode == 1:
-        return np.ones_like(xi)
-    return 2.0 * xi
 
 
 @lru_cache(maxsize=None)
@@ -71,25 +57,20 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss rule on the reference cell ([-1/2,1/2] or its tensor square)."""
+    """Tensor Gauss rule on the reference cell [-1/2, 1/2]^ndim."""
 
     nodes: np.ndarray
     weights: np.ndarray
     order: int
 
     @staticmethod
-    def gauss_1d(n: int) -> "QuadratureRule":
-        nodes, weights = gauss_rule(n)
-        return QuadratureRule(nodes=nodes, weights=weights, order=2 * n - 1)
-
-    @staticmethod
-    def gauss_2d(n: int) -> "QuadratureRule":
-        """Tensor-product rule; nodes have shape (n*n, 2)."""
+    def gauss(n: int, ndim: int) -> "QuadratureRule":
+        """n points per axis; nodes have shape (n^ndim, ndim), the last axis
+        running fastest."""
         x, w = gauss_rule(n)
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        nodes = np.column_stack([xx.ravel(), yy.ravel()])
-        weights = np.outer(w, w).ravel()
-        return QuadratureRule(nodes=nodes, weights=weights, order=2 * n - 1)
+        grid = np.meshgrid(*([np.arange(n)] * ndim), indexing="ij")
+        idx = np.stack([g.ravel() for g in grid], axis=-1)
+        return QuadratureRule(nodes=x[idx], weights=np.prod(w[idx], axis=-1), order=2 * n - 1)
 
 
 @dataclass(frozen=True)
@@ -110,14 +91,12 @@ class Basis:
 
     @property
     def modes(self) -> tuple:
-        """2D only: (i, j) exponent pairs of the tensor factors."""
-        return _MODES_2D[: self.dim]
+        """Per-axis 1D mode indices of every basis function: 1-tuples in 1D."""
+        return (_MODES_1D if self.ndim == 1 else _MODES_2D)[: self.dim]
 
     def mass_diag(self) -> np.ndarray:
         """Diagonal of the reference mass matrix (unit cell measure)."""
-        if self.ndim == 1:
-            return _MASS_1D[: self.dim].copy()
-        return np.array([_MASS_1D[i] * _MASS_1D[j] for i, j in self.modes])
+        return np.array([np.prod(_MASS_1D[list(m)]) for m in self.modes])
 
     def eval(self, xi: np.ndarray, eta: np.ndarray | None = None) -> np.ndarray:
         """Basis values at local coordinates; result shape (..., dim)."""
@@ -143,20 +122,6 @@ class Basis:
             out[..., 5] = eta * eta - 1.0 / 12.0
         return out
 
-    def eval_deriv(self, xi: np.ndarray, eta: np.ndarray | None = None, axis: int = 0) -> np.ndarray:
-        """Derivative with respect to the local coordinate on the given axis."""
-        xi = np.asarray(xi, dtype=float)
-        if self.ndim == 1:
-            return np.stack([_legendre_1d_deriv(xi, m) for m in range(self.dim)], axis=-1)
-        eta = np.asarray(eta, dtype=float)
-        vals = []
-        for i, j in self.modes:
-            if axis == 0:
-                vals.append(_legendre_1d_deriv(xi, i) * _legendre_1d(eta, j))
-            else:
-                vals.append(_legendre_1d(xi, i) * _legendre_1d_deriv(eta, j))
-        return np.stack(vals, axis=-1)
-
 
 @dataclass(frozen=True)
 class Mesh1D:
@@ -165,6 +130,7 @@ class Mesh1D:
     x_a: float
     x_b: float
     n: int
+    ndim = 1
 
     def __post_init__(self):
         if self.n < 2:
@@ -184,26 +150,27 @@ class Mesh1D:
     def ncells(self) -> int:
         return self.n
 
+    @property
+    def lower(self) -> tuple[float]:
+        return (self.x_a,)
+
+    @property
+    def widths(self) -> tuple[float]:
+        return (self.dx,)
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.n,)
+
     def nodes(self) -> np.ndarray:
         return self.x_a + self.dx * np.arange(self.n + 1)
-
-    def centers(self) -> np.ndarray:
-        return self.x_a + self.dx * (np.arange(self.n) + 0.5)
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
         return self.x_a + np.mod(x - self.x_a, self.length)
 
-    def locate(self, x: np.ndarray, side: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Containing cell index and local coordinate of (wrapped) points.
-
-        ``side`` selects the one-sided trace at cell interfaces: points within
-        1e-12 cells of an interior interface are attributed to the left or
-        right neighbour explicitly.
-        """
+    def locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Containing cell index and local coordinate of (wrapped) points."""
         r = (self.wrap(np.asarray(x, dtype=float)) - self.x_a) / self.dx
-        if side is not None:
-            near = np.abs(r - np.round(r)) < 1e-12
-            r = np.where(near, np.round(r) + (-1e-9 if side == "left" else 1e-9), r)
         j = np.clip(np.floor(r).astype(int), 0, self.n - 1)
         xi = r - j - 0.5
         return j, xi
@@ -219,6 +186,7 @@ class Mesh2D:
     y_b: float
     nx: int
     ny: int
+    ndim = 2
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
@@ -242,13 +210,20 @@ class Mesh2D:
     def lengths(self) -> tuple[float, float]:
         return (self.x_b - self.x_a, self.y_b - self.y_a)
 
+    @property
+    def lower(self) -> tuple[float, float]:
+        return (self.x_a, self.y_a)
+
+    @property
+    def widths(self) -> tuple[float, float]:
+        return (self.dx, self.dy)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.nx, self.ny)
+
     def cell_index(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         return np.mod(ix, self.nx) + self.nx * np.mod(iy, self.ny)
-
-    def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        cx = self.x_a + self.dx * (np.arange(self.nx) + 0.5)
-        cy = self.y_a + self.dy * (np.arange(self.ny) + 0.5)
-        return cx, cy
 
     def wrap(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lx, ly = self.lengths
@@ -277,14 +252,14 @@ class DGField:
 
     def __post_init__(self):
         _check_degree(self.k)
-        dim = basis_dim(self.k, self.ndim)
+        dim = basis_dim(self.k, self.mesh.ndim)
         self.coeffs = np.ascontiguousarray(self.coeffs, dtype=float).reshape(
             self.mesh.ncells, dim
         )
 
     @property
     def ndim(self) -> int:
-        return 1 if isinstance(self.mesh, Mesh1D) else 2
+        return self.mesh.ndim
 
     @property
     def basis(self) -> Basis:
@@ -299,8 +274,7 @@ class DGField:
 
     @staticmethod
     def zeros(mesh: Mesh, k: int, time: float = 0.0) -> "DGField":
-        ndim = 1 if isinstance(mesh, Mesh1D) else 2
-        return DGField(mesh, k, np.zeros((mesh.ncells, basis_dim(k, ndim))), time)
+        return DGField(mesh, k, np.zeros((mesh.ncells, basis_dim(k, mesh.ndim))), time)
 
     def __add__(self, other: "DGField") -> "DGField":
         return replace(self, coeffs=self.coeffs + other.coeffs)
@@ -313,43 +287,38 @@ class DGField:
 
     __rmul__ = __mul__
 
-    def evaluate(self, x, y=None, side: str | None = None) -> np.ndarray:
-        """Point values of the cell-local polynomials (periodic wrap applied)."""
-        if self.ndim == 1:
-            j, xi = self.mesh.locate(x, side=side)
-            phi = self.basis.eval(xi)
-            return np.einsum("...d,...d->...", self.coeffs[j], phi)
-        c, xi, eta = self.mesh.locate(x, y)
-        phi = self.basis.eval(xi, eta)
-        return np.einsum("...d,...d->...", self.coeffs[c], phi)
+    def evaluate(self, *x) -> np.ndarray:
+        """Point values of the cell-local polynomials at coordinate arrays
+        (x) or (x, y), periodic wrap applied."""
+        c, *local = self.mesh.locate(*x)
+        return np.einsum("...d,...d->...", self.coeffs[c], self.basis.eval(*local))
 
 
 def cell_measure(mesh: Mesh) -> float:
-    return mesh.dx if isinstance(mesh, Mesh1D) else mesh.dx * mesh.dy
+    return math.prod(mesh.widths)
 
 
 def mass_vector(mesh: Mesh, k: int) -> np.ndarray:
     """Diagonal of the global mass matrix, flattened over (cell, mode)."""
-    ndim = 1 if isinstance(mesh, Mesh1D) else 2
-    diag = Basis(k, ndim).mass_diag() * cell_measure(mesh)
+    diag = Basis(k, mesh.ndim).mass_diag() * cell_measure(mesh)
     return np.tile(diag, mesh.ncells)
 
 
+def cell_multi_index(mesh: Mesh) -> tuple[np.ndarray, ...]:
+    """Per-axis cell indices of cells 0..ncells-1 (the first axis runs fastest)."""
+    return np.unravel_index(np.arange(mesh.ncells), mesh.shape, order="F")
+
+
 def _cell_quad_points(mesh: Mesh, n: int):
-    """Physical quadrature points per cell, plus local nodes and weights."""
-    if isinstance(mesh, Mesh1D):
-        nodes, weights = gauss_rule(n)
-        x = mesh.centers()[:, None] + mesh.dx * nodes[None, :]
-        return (x,), nodes, weights
-    rule = QuadratureRule.gauss_2d(n)
-    cx, cy = mesh.centers()
-    cxg, cyg = np.meshgrid(cx, cy, indexing="ij")
-    # cell order must follow c = ix + nx*iy
-    cxf = cxg.T.reshape(-1, 1)
-    cyf = cyg.T.reshape(-1, 1)
-    x = cxf + mesh.dx * rule.nodes[None, :, 0]
-    y = cyf + mesh.dy * rule.nodes[None, :, 1]
-    return (x, y), rule.nodes, rule.weights
+    """Tensor Gauss points of every cell: physical coordinates per axis, each
+    (ncells, n^ndim), plus local nodes (n^ndim, ndim) and weights."""
+    rule = QuadratureRule.gauss(n, mesh.ndim)
+    local = rule.nodes
+    pts = tuple(
+        (lo + h * (c + 0.5))[:, None] + h * local[None, :, a]
+        for a, (lo, h, c) in enumerate(zip(mesh.lower, mesh.widths, cell_multi_index(mesh)))
+    )
+    return pts, local, rule.weights
 
 
 def project(f: Callable, mesh: Mesh, k: int, time: float = 0.0) -> DGField:
@@ -360,16 +329,12 @@ def project(f: Callable, mesh: Mesh, k: int, time: float = 0.0) -> DGField:
     the DG space are reproduced to rounding.
     """
     _check_degree(k)
-    ndim = 1 if isinstance(mesh, Mesh1D) else 2
-    basis = Basis(k, ndim)
     pts, local, weights = _cell_quad_points(mesh, k + 2)
-    fvals = f(*pts)
-    if ndim == 1:
-        phi = basis.eval(local)
-    else:
-        phi = basis.eval(local[:, 0], local[:, 1])
-    rhs = np.einsum("q,qd,cq->cd", weights, phi, np.asarray(fvals, dtype=float))
-    gram = np.einsum("q,qd,qe->de", weights, phi, phi)
+    phi = Basis(k, mesh.ndim).eval(*local.T)
+    fvals = np.asarray(f(*pts), dtype=float)
+    wphi = weights[:, None] * phi
+    rhs = fvals @ wphi
+    gram = phi.T @ wphi
     coeffs = np.linalg.solve(gram, rhs.T).T
     return DGField(mesh, k, coeffs, time)
 
@@ -381,17 +346,10 @@ def norms(field: DGField, exact: Callable, t: float | None = None) -> tuple[floa
     over those quadrature nodes.
     """
     t = field.time if t is None else t
-    mesh = field.mesh
-    pts, local, weights = _cell_quad_points(mesh, field.k + 3)
-    if field.ndim == 1:
-        phi = Basis(field.k, 1).eval(local)
-        ref = exact(pts[0], t)
-    else:
-        phi = Basis(field.k, 2).eval(local[:, 0], local[:, 1])
-        ref = exact(pts[0], pts[1], t)
-    uh = field.coeffs @ phi.T
-    err = uh - ref
-    meas = cell_measure(mesh)
+    pts, local, weights = _cell_quad_points(field.mesh, field.k + 3)
+    uh = field.coeffs @ field.basis.eval(*local.T).T
+    err = uh - exact(*pts, t)
+    meas = cell_measure(field.mesh)
     l1 = float(meas * np.sum(weights[None, :] * np.abs(err)))
     l2 = float(np.sqrt(meas * np.sum(weights[None, :] * err**2)))
     linf = float(np.max(np.abs(err)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Basis, Mesh1D, Mesh2D, gauss_rule, mass_vector
+from .core import _MASS_1D, Basis, Mesh1D, Mesh2D, mass_vector
 
 FLUX_CHOICES = ("uminus_qplus", "uplus_qminus")
 
@@ -43,42 +43,6 @@ class FluxChoice:
 
 
 @dataclass(frozen=True)
-class LocalMatrices:
-    """Pre-computed reference blocks entering the 1D assembly.
-
-    M is the (diagonal) cell mass matrix for unit cell width; C, D, E, F carry
-    products of edge traces (own-cell right/right, neighbour-right/own-left,
-    neighbour-left/own-right, own-left/own-left); N is the volume term
-    (phi_l, d phi_m / dxi).
-    """
-
-    M: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    E: np.ndarray
-    F: np.ndarray
-    N: np.ndarray
-
-
-def local_matrices_1d(k: int) -> LocalMatrices:
-    basis = Basis(k, 1)
-    ep = basis.eval(np.array(0.5))
-    em = basis.eval(np.array(-0.5))
-    nodes, weights = gauss_rule(k + 2)
-    phi = basis.eval(nodes)
-    dphi = basis.eval_deriv(nodes)
-    N = np.einsum("q,qm,ql->ml", weights, dphi, phi)
-    return LocalMatrices(
-        M=np.diag(basis.mass_diag()),
-        C=np.outer(ep, ep),
-        D=np.outer(em, ep),
-        E=np.outer(ep, em),
-        F=np.outer(em, em),
-        N=N,
-    )
-
-
-@dataclass(frozen=True)
 class LDGOperator:
     """DG second-derivative operator in factored and assembled form.
 
@@ -92,17 +56,12 @@ class LDGOperator:
     mesh: Mesh1D | Mesh2D
     k: int
     flux: FluxChoice
-    bc: str
     op: sp.csr_matrix
     grads: tuple[sp.csr_matrix, ...]
     divs: tuple[sp.csr_matrix, ...]
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        x = coeffs.ravel()
-        out = np.zeros_like(x)
-        for G, Dv in zip(self.grads, self.divs):
-            out += Dv @ (G @ x)
-        return out.reshape(coeffs.shape)
+        return self.apply_flat(coeffs.ravel()).reshape(coeffs.shape)
 
     def apply_flat(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
@@ -111,24 +70,17 @@ class LDGOperator:
         return out
 
 
-def _shift_matrix(n: int, offset: int, periodic: bool) -> sp.csr_matrix:
-    """Maps cell j to cell j+offset; rows without a source stay zero."""
+def _shift_matrix(n: int, offset: int) -> sp.csr_matrix:
+    """Maps cell j to cell j+offset, periodically."""
     rows = np.arange(n)
-    cols = rows + offset
-    if periodic:
-        cols %= n
-        keep = np.ones(n, dtype=bool)
-    else:
-        keep = (cols >= 0) & (cols < n)
-    data = np.ones(keep.sum())
-    return sp.csr_matrix((data, (rows[keep], cols[keep])), shape=(n, n))
+    return sp.csr_matrix((np.ones(n), (rows, (rows + offset) % n)), shape=(n, n))
 
 
 # exact one-dimensional reference data for the scaled Legendre modes:
-# edge values at +-1/2, mode masses, and (phi_l, dphi_m/dxi) volume couplings
+# edge values at +-1/2 and (phi_l, dphi_m/dxi) volume couplings
+# (the mode masses are core._MASS_1D)
 _EDGE_P = np.array([1.0, 0.5, 0.25 - 1.0 / 12.0])
 _EDGE_M = np.array([1.0, -0.5, 0.25 - 1.0 / 12.0])
-_MASS_1 = np.array([1.0, 1.0 / 12.0, 1.0 / 180.0])
 _N_1D = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0 / 6.0, 0.0]])
 
 
@@ -136,64 +88,38 @@ def _first_derivative_blocks(k: int, ndim: int, axis: int, side: str):
     """Own-cell and neighbour blocks of a one-sided first-derivative sweep.
 
     Returns (own, nb, nb_offset) such that (for unit cell width)
-    deriv_j = Minv @ (own @ u_j + nb @ u_{j+nb_offset}).  All entries are
-    exact products of small rationals, so constants sit in the nullspace of
-    the composed operator to rounding.
+    deriv_j = Minv @ (own @ u_j + nb @ u_{j+nb_offset}).  Every block is the
+    1D block of the modes' factors along ``axis`` times the 1D mass products
+    of their factors along the other axes (an empty product in 1D).  All
+    entries are exact products of small rationals, so constants sit in the
+    nullspace of the composed operator to rounding.
     """
-    if ndim == 1:
-        d = k + 1
-        ep, em = _EDGE_P[:d], _EDGE_M[:d]
-        Epp = np.outer(ep, ep)
-        Epm = np.outer(em, ep)   # trace from left neighbour's right edge
-        Emp = np.outer(ep, em)   # trace from right neighbour's left edge
-        Emm = np.outer(em, em)
-        N = _N_1D[:d, :d]
-    else:
-        modes = Basis(k, 2).modes
-        d = len(modes)
-        Epp = np.zeros((d, d))
-        Epm = np.zeros((d, d))
-        Emp = np.zeros((d, d))
-        Emm = np.zeros((d, d))
-        N = np.zeros((d, d))
-        for m, (mi, mj) in enumerate(modes):
-            for l, (li, lj) in enumerate(modes):
-                a_m, a_l = (mi, li) if axis == 0 else (mj, lj)
-                t_m, t_l = (mj, lj) if axis == 0 else (mi, li)
-                tangent = _MASS_1[t_m] if t_m == t_l else 0.0
-                Epp[m, l] = _EDGE_P[a_m] * _EDGE_P[a_l] * tangent
-                Epm[m, l] = _EDGE_M[a_m] * _EDGE_P[a_l] * tangent
-                Emp[m, l] = _EDGE_P[a_m] * _EDGE_M[a_l] * tangent
-                Emm[m, l] = _EDGE_M[a_m] * _EDGE_M[a_l] * tangent
-                N[m, l] = _N_1D[a_m, a_l] * tangent
+    modes = np.array(Basis(k, ndim).modes)
+    a = modes[:, axis]
+    t = np.delete(modes, axis, axis=1)
+    tangent = np.prod(np.where(t[:, None] == t[None, :], _MASS_1D[t][:, None], 0.0), axis=-1)
+    P, M = _EDGE_P[a], _EDGE_M[a]
+    N = _N_1D[np.ix_(a, a)] * tangent
     if side == "minus":
         # trace from the lower side: own right edge and left neighbour's right edge
-        return Epp - N, -Epm, -1
+        return np.outer(P, P) * tangent - N, -(np.outer(M, P) * tangent), -1
     # trace from the upper side: right neighbour's left edge and own left edge
-    return -Emm - N, Emp, +1
+    return -(np.outer(M, M) * tangent) - N, np.outer(P, M) * tangent, +1
 
 
-def _sweep_matrix(mesh, k: int, axis: int, side: str, bc: str) -> sp.csr_matrix:
-    ndim = 1 if isinstance(mesh, Mesh1D) else 2
-    own, nb, off = _first_derivative_blocks(k, ndim, axis, side)
-    minv = 1.0 / Basis(k, ndim).mass_diag()
+def _sweep_matrix(mesh, k: int, axis: int, side: str) -> sp.csr_matrix:
+    own, nb, off = _first_derivative_blocks(k, mesh.ndim, axis, side)
+    minv = 1.0 / Basis(k, mesh.ndim).mass_diag()
     own = sp.csr_matrix(minv[:, None] * own)
     nb = sp.csr_matrix(minv[:, None] * nb)
-    periodic = bc == "periodic"
-    if ndim == 1:
-        shift = _shift_matrix(mesh.n, off, periodic)
-        eye = sp.identity(mesh.n, format="csr")
-        width = mesh.dx
-    else:
-        if axis == 0:
-            shift = sp.kron(sp.identity(mesh.ny), _shift_matrix(mesh.nx, off, periodic))
-            eye = sp.identity(mesh.ncells, format="csr")
-            width = mesh.dx
-        else:
-            shift = sp.kron(_shift_matrix(mesh.ny, off, periodic), sp.identity(mesh.nx))
-            eye = sp.identity(mesh.ncells, format="csr")
-            width = mesh.dy
-    return ((sp.kron(eye, own) + sp.kron(shift, nb)) / width).tocsr()
+    # cells are numbered with the first axis fastest, so later axes are outer factors
+    factors = [_shift_matrix(n, off) if ax == axis else sp.identity(n)
+               for ax, n in enumerate(mesh.shape)]
+    shift = factors[0]
+    for factor in factors[1:]:
+        shift = sp.kron(factor, shift)
+    eye = sp.identity(mesh.ncells, format="csr")
+    return ((sp.kron(eye, own) + sp.kron(shift, nb)) / mesh.widths[axis]).tocsr()
 
 
 def _flux_sides(orientation: str) -> tuple[str, str]:
@@ -202,36 +128,28 @@ def _flux_sides(orientation: str) -> tuple[str, str]:
     return "plus", "minus"
 
 
-def assemble_ldg_1d(mesh: Mesh1D, k: int, flux: FluxChoice | None = None,
-                    bc: str = "periodic") -> LDGOperator:
+def _assemble(mesh, k: int, flux: FluxChoice | None) -> LDGOperator:
+    """Gradient and divergence sweeps along every axis, composed into one operator."""
+    flux = flux or FluxChoice()
+    grads, divs = [], []
+    for axis, orientation in zip(range(mesh.ndim), (flux.x, flux.y)):
+        u_side, q_side = _flux_sides(orientation)
+        grads.append(_sweep_matrix(mesh, k, axis, u_side))
+        divs.append(_sweep_matrix(mesh, k, axis, q_side))
+    op = divs[0] @ grads[0]
+    for G, Dv in zip(grads[1:], divs[1:]):
+        op = op + Dv @ G
+    return LDGOperator(mesh, k, flux, op.tocsr(), tuple(grads), tuple(divs))
+
+
+def assemble_ldg_1d(mesh: Mesh1D, k: int, flux: FluxChoice | None = None) -> LDGOperator:
     """Compose the two one-sided sweeps into the 1D second-derivative operator."""
-    flux = flux or FluxChoice()
-    _check_bc(bc)
-    u_side, q_side = _flux_sides(flux.x)
-    G = _sweep_matrix(mesh, k, 0, u_side, bc)
-    Dv = _sweep_matrix(mesh, k, 0, q_side, bc)
-    return LDGOperator(mesh, k, flux, bc, (Dv @ G).tocsr(), (G,), (Dv,))
+    return _assemble(mesh, k, flux)
 
 
-def assemble_ldg_2d(mesh: Mesh2D, k: int, flux: FluxChoice | None = None,
-                    bc: str = "periodic") -> LDGOperator:
+def assemble_ldg_2d(mesh: Mesh2D, k: int, flux: FluxChoice | None = None) -> LDGOperator:
     """Dimension-by-dimension sweeps: gradients in x and y, then the divergence."""
-    flux = flux or FluxChoice()
-    _check_bc(bc)
-    ux_side, qx_side = _flux_sides(flux.x)
-    uy_side, qy_side = _flux_sides(flux.y)
-    Gx = _sweep_matrix(mesh, k, 0, ux_side, bc)
-    Gy = _sweep_matrix(mesh, k, 1, uy_side, bc)
-    Dx = _sweep_matrix(mesh, k, 0, qx_side, bc)
-    Dy = _sweep_matrix(mesh, k, 1, qy_side, bc)
-    return LDGOperator(
-        mesh, k, flux, bc, (Dx @ Gx + Dy @ Gy).tocsr(), (Gx, Gy), (Dx, Dy)
-    )
-
-
-def _check_bc(bc: str) -> None:
-    if bc not in ("periodic", "zero"):
-        raise ValueError("bc must be 'periodic' or 'zero'")
+    return _assemble(mesh, k, flux)
 
 
 def dissipativity_check(op: LDGOperator, coeffs: np.ndarray) -> tuple[float, float]:
@@ -241,8 +159,6 @@ def dissipativity_check(op: LDGOperator, coeffs: np.ndarray) -> tuple[float, flo
     second; both are computed exactly from coefficients through the diagonal
     mass matrix.
     """
-    if op.bc != "periodic":
-        raise ValueError("dissipativity identity requires periodic boundaries")
     m = mass_vector(op.mesh, op.k)
     u = coeffs.ravel()
     s = float(op.apply_flat(u) @ (m * u))

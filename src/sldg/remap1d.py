@@ -21,12 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .characteristics import GL_POINTS, VelocityField, substeps_for, trace_back
+from .characteristics import GL_POINTS, VelocityField, cell_lattice, snap_index, substeps_for, trace_back
 from .core import Basis, DGField, Mesh1D, gauss_rule
-
-# Feet within this fraction of a cell width of a mesh node are snapped onto
-# it, so cell assignment is stable and zero-length slivers cannot appear.
-SNAP_TOL = 1e-12
 
 
 class GeometryError(RuntimeError):
@@ -91,54 +87,46 @@ def lagrange_weights(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _snap(r: np.ndarray) -> np.ndarray:
-    rounded = np.round(r)
-    return np.where(np.abs(r - rounded) < SNAP_TOL, rounded, r)
+def traced_interval_points(mesh: Mesh1D, k: int, t_end: float, t_start: float,
+                           v: VelocityField, substeps: int | None = None) -> np.ndarray:
+    """Snapped index coordinates of every cell's traced ends (and midpoint).
 
-
-def _trace_all_feet(mesh: Mesh1D, k: int, t_end: float, t_start: float,
-                    v: VelocityField, substeps: int | None):
-    """Trace mesh nodes (and midpoints for k != 1) once, shared across cells."""
+    Row j holds the feet of cell j's left end, its midpoint unless k = 1,
+    and its right end; neighbours share end feet bitwise, because the
+    points are traced once on the mesh lattice.
+    """
     if substeps is None:
         substeps = substeps_for(mesh, v, t_end, t_start)
-    edges = mesh.nodes()
-    mids = mesh.centers() if k != 1 else None
-    pts = edges if mids is None else np.concatenate([edges, mids])
-    feet = trace_back(pts, t_end, t_start, v, substeps)
-    fe = feet[: edges.size]
-    fm = feet[edges.size:] if mids is not None else None
-    if np.any(np.diff(fe) <= 0):
-        raise GeometryError("traced cell boundaries are non-monotone; reduce the time step")
-    if (fe[-1] - fe[0]) > mesh.length * (1.0 + 1e-9):
+    points, index = cell_lattice(mesh, (-0.5, 0.5) if k == 1 else (-0.5, 0.0, 0.5))
+    feet = trace_back(points[0], t_end, t_start, v, substeps)
+    r = snap_index((feet[index] - mesh.x_a) / mesh.dx)
+    folded = np.flatnonzero(np.any(np.diff(r, axis=1) <= 0, axis=1))
+    if folded.size:
+        raise GeometryError(f"non-monotone feet in cell {folded[0]}; reduce the time step")
+    if r[-1, -1] - r[0, 0] > mesh.n * (1.0 + 1e-9):
         raise GeometryError("upstream region longer than the domain (CFL too large)")
-    return fe, fm
+    return r
 
 
-def _interval_feet(mesh: Mesh1D, k: int, fe: np.ndarray, fm):
-    if k == 0:
-        return fm[:, None]
-    if k == 1:
-        return np.column_stack([fe[:-1], fe[1:]])
-    return np.column_stack([fe[:-1], fm, fe[1:]])
+def _gl_feet(r: np.ndarray, k: int) -> np.ndarray:
+    """The traced Gauss-Lobatto points among a cell's ends and midpoint."""
+    return r[..., 1:2] if k == 0 else r
 
 
 def build_upstream_1d(mesh: Mesh1D, j: int, t_end: float, t_start: float,
                       v: VelocityField, k: int, substeps: int | None = None) -> UpstreamInterval:
     """Trace cell j's Gauss-Lobatto points and set up its test interpolants."""
-    fe, fm = _trace_all_feet(mesh, k, t_end, t_start, v, substeps)
-    feet = _interval_feet(mesh, k, fe, fm)[j]
-    if np.any(np.diff(feet) <= 0):
-        raise GeometryError(f"non-monotone feet in cell {j}")
-    basis = Basis(k, 1)
-    values = basis.eval(np.array(GL_POINTS[k])).T       # (dim, k+1)
+    x = mesh.x_a + mesh.dx * traced_interval_points(mesh, k, t_end, t_start, v, substeps)[j]
+    values = Basis(k, 1).eval(np.array(GL_POINTS[k])).T       # (dim, k+1)
+    feet = _gl_feet(x, k)
     test = TestPoly1D(nodes=feet, values=values)
-    return UpstreamInterval(j, t_end, t_start, fe[j], fe[j + 1], feet, test)
+    return UpstreamInterval(j, t_end, t_start, x[0], x[-1], feet, test)
 
 
 def split_subintervals(up: UpstreamInterval, mesh: Mesh1D) -> list[SubInterval]:
     """Cut the upstream interval at every background cell boundary it crosses."""
-    rlo = float(_snap(np.array([(up.lo - mesh.x_a) / mesh.dx]))[0])
-    rhi = float(_snap(np.array([(up.hi - mesh.x_a) / mesh.dx]))[0])
+    rlo = float(snap_index((up.lo - mesh.x_a) / mesh.dx))
+    rhi = float(snap_index((up.hi - mesh.x_a) / mesh.dx))
     first = int(np.floor(rlo)) + 1
     last = int(np.ceil(rhi)) - 1
     cuts = [rlo] + [float(n) for n in range(first, last + 1)] + [rhi]
@@ -177,13 +165,12 @@ def assemble_remap_1d(mesh: Mesh1D, k: int, t_end: float, t_start: float,
     Row block j holds the loads of cell j; the construction is the vectorized
     counterpart of build_upstream_1d / split_subintervals / remap_term1_1d.
     """
-    fe, fm = _trace_all_feet(mesh, k, t_end, t_start, v, substeps)
-    feet = _interval_feet(mesh, k, fe, fm)               # (N, k+1)
+    rc = traced_interval_points(mesh, k, t_end, t_start, v, substeps)
+    feet = _gl_feet(rc, k)                               # (N, k+1) index coordinates
     d = k + 1
     N = mesh.n
 
-    re = _snap((fe - mesh.x_a) / mesh.dx)
-    rlo, rhi = re[:-1], re[1:]
+    rlo, rhi = rc[:, 0], rc[:, -1]
     first = np.floor(rlo).astype(int) + 1
     ncuts = np.maximum(np.ceil(rhi).astype(int) - 1 - first + 1, 0)
     nsub = ncuts + 1
@@ -209,8 +196,7 @@ def assemble_remap_1d(mesh: Mesh1D, k: int, t_end: float, t_start: float,
     basis = Basis(k, 1)
     phi = basis.eval(xi)                                  # (S, q, d) values of background basis
 
-    x_nodes = mesh.x_a + r_nodes * mesh.dx
-    L = lagrange_weights(feet[owner], x_nodes)            # (S, q, d) Lagrange basis at nodes
+    L = lagrange_weights(feet[owner], r_nodes)            # (S, q, d) Lagrange basis at nodes
     src_vals = basis.eval(np.array(GL_POINTS[k])).T       # (d_m, k+1)
     psi = np.einsum("sqp,mp->sqm", L, src_vals)           # (S, q, d_m)
 

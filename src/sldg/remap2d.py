@@ -12,10 +12,12 @@ functions P = 0 and Q the x-antiderivative of the integrand anchored at the
 background cell's left edge, the area integral equals the contour integral
 of Q dy.
 
-Edges are stored as quadratic parametrizations (x(s), y(s)) for s in [0, 1];
-straight segments are the degenerate case with vanishing quadratic part.
-All quadrature node counts are fixed from the polynomial degrees involved,
-so every integral of piecewise-polynomial data is exact to rounding.
+This per-cell path is the reference the vectorized assembler in
+``remap2d_matrix`` is tested against.  It takes its traced points, guard and
+test fits from that module, so both paths share one snapping and
+recentring policy; the clipping and the integration are its own.  All
+quadrature node counts are fixed from the polynomial degrees involved, so
+every integral of piecewise-polynomial data is exact to rounding.
 """
 
 from __future__ import annotations
@@ -25,39 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import CELL_POINTS_4, CELL_POINTS_9, VelocityField, substeps_for, trace_back
+from .characteristics import VelocityField, snap_index
 from .core import Basis, DGField, Mesh2D, gauss_rule
 from .remap1d import GeometryError
+from .remap2d_matrix import (
+    cell_edges,
+    eval_quadratic,
+    eval_quadratic_deriv,
+    fit_tests,
+    quadratic_range,
+    split_edges_at_gridlines,
+    traced_cell_points,
+    tracked_points,
+)
 
-SNAP_TOL = 1e-12       # index-space snap of traced points onto grid lines
-ROOT_EDGE_TOL = 1e-11  # crossings this close to an edge endpoint are dropped
 CHAIN_TOL = 1e-9       # endpoint matching tolerance (relative to cell size)
 AREA_DROP = 1e-14      # regions below this fraction of a cell area are discarded
-
-
-# ---------------------------------------------------------------------------
-# low-level geometry kernels (shared with the sparse-operator assembler)
-# ---------------------------------------------------------------------------
-
-def quadratic_through(p0: np.ndarray, pm: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Coefficients (c, b, a) of the parabola through p0, pm, p2 at s = 0, 1/2, 1.
-
-    Input arrays share a common leading shape; the result has an extra
-    trailing axis holding (constant, linear, quadratic) coefficients.
-    """
-    c = p0
-    b = -3.0 * p0 + 4.0 * pm - p2
-    a = 2.0 * p0 - 4.0 * pm + 2.0 * p2
-    return np.stack([c, b, a], axis=-1)
-
-
-def eval_quadratic(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Evaluate (c, b, a) coefficient arrays; broadcasts over leading axes."""
-    return coeffs[..., 0] + s * (coeffs[..., 1] + s * coeffs[..., 2])
-
-
-def eval_quadratic_deriv(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return coeffs[..., 1] + 2.0 * s * coeffs[..., 2]
 
 
 def restrict_quadratic(coeffs: np.ndarray, s0, s1) -> np.ndarray:
@@ -67,113 +52,6 @@ def restrict_quadratic(coeffs: np.ndarray, s0, s1) -> np.ndarray:
     return np.stack(
         [c + s0 * (b + s0 * a), span * (b + 2.0 * a * s0), a * span**2], axis=-1
     )
-
-
-def quadratic_range(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """True min/max of a batch of quadratics over s in [0, 1]."""
-    v0 = eval_quadratic(coeffs, 0.0)
-    v1 = eval_quadratic(coeffs, 1.0)
-    lo = np.minimum(v0, v1)
-    hi = np.maximum(v0, v1)
-    a, b = coeffs[..., 2], coeffs[..., 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sv = np.where(np.abs(a) > 0.0, -b / (2.0 * a), -1.0)
-    interior = (sv > 0.0) & (sv < 1.0)
-    vv = eval_quadratic(coeffs, np.where(interior, sv, 0.0))
-    lo = np.where(interior, np.minimum(lo, vv), lo)
-    hi = np.where(interior, np.maximum(hi, vv), hi)
-    return lo, hi
-
-
-def _line_crossings(coeffs: np.ndarray, lines: np.ndarray) -> np.ndarray:
-    """Parameters where quadratics cross given levels; non-crossings are NaN.
-
-    coeffs: (P, 3) one component per row; lines: (P,) target level per row.
-    Returns (P, 2) roots inside (0, 1); tangencies count as touches and are
-    dropped.
-    """
-    c = coeffs[:, 0] - lines
-    b = coeffs[:, 1]
-    a = coeffs[:, 2]
-    out = np.full((coeffs.shape[0], 2), np.nan)
-    scale = np.maximum(np.abs(a) + np.abs(b) + np.abs(c), 1e-30)
-    lin = np.abs(a) <= 1e-13 * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_lin = -c / b
-    ok_lin = lin & (np.abs(b) > 1e-13 * scale)
-    out[:, 0] = np.where(ok_lin, r_lin, out[:, 0])
-
-    disc = b * b - 4.0 * a * c
-    quad = (~lin) & (disc > 1e-24 * scale**2)
-    sq = np.sqrt(np.where(quad, disc, 0.0))
-    qq = -0.5 * (b + np.sign(np.where(b == 0.0, 1.0, b)) * sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(quad, qq / a, np.nan)
-        r2 = np.where(quad & (np.abs(qq) > 0.0), c / qq, np.nan)
-    out[:, 0] = np.where(quad, r1, out[:, 0])
-    out[:, 1] = np.where(quad, r2, out[:, 1])
-    inside = (out > ROOT_EDGE_TOL) & (out < 1.0 - ROOT_EDGE_TOL)
-    return np.where(inside, out, np.nan)
-
-
-def split_edges_at_gridlines(edges_idx: np.ndarray):
-    """Split a batch of edges (index coordinates) at every grid-line crossing.
-
-    edges_idx: (E, 2, 3) quadratic coefficients of (rx(s), ry(s)).
-    Returns (edge_id, s0, s1) flat arrays of sub-pieces ordered along each
-    edge.
-    """
-    E = edges_idx.shape[0]
-    root_eids = []
-    root_vals = []
-    for axis in (0, 1):
-        lo, hi = quadratic_range(edges_idx[:, axis, :])
-        first = np.floor(lo).astype(int) + 1
-        count = np.maximum(np.ceil(hi).astype(int) - first, 0)
-        if count.sum() == 0:
-            continue
-        eid = np.repeat(np.arange(E), count)
-        offs = np.concatenate([[0], np.cumsum(count)])
-        level = (first[eid] + (np.arange(eid.size) - offs[eid])).astype(float)
-        roots = _line_crossings(edges_idx[eid, axis, :], level)
-        for col in range(2):
-            valid = ~np.isnan(roots[:, col])
-            root_eids.append(eid[valid])
-            root_vals.append(roots[valid, col])
-
-    if root_eids:
-        eids = np.concatenate(root_eids)
-        vals = np.concatenate(root_vals)
-        order = np.lexsort((vals, eids))
-        eids, vals = eids[order], vals[order]
-        if eids.size:
-            fresh = np.concatenate(
-                [[True], (np.diff(eids) != 0) | (np.diff(vals) > 1e-12)]
-            )
-            eids, vals = eids[fresh], vals[fresh]
-    else:
-        eids = np.empty(0, dtype=int)
-        vals = np.empty(0)
-    if vals.size == 0:
-        return np.arange(E), np.zeros(E), np.ones(E)
-
-    nroots = np.bincount(eids, minlength=E)
-    root_offs = np.concatenate([[0], np.cumsum(nroots)])
-    npieces = nroots + 1
-    offs = np.concatenate([[0], np.cumsum(npieces)])
-    total = offs[-1]
-    edge_id = np.repeat(np.arange(E), npieces)
-    pos = np.arange(total) - offs[edge_id]
-    take = root_offs[edge_id] + pos
-    s0 = np.where(pos == 0, 0.0, vals[np.maximum(take - 1, 0)])
-    s1 = np.where(pos == nroots[edge_id], 1.0, vals[np.minimum(take, max(vals.size - 1, 0))])
-    keep = s1 - s0 > 1e-12
-    return edge_id[keep], s0[keep], s1[keep]
-
-
-def snap_index(r: np.ndarray) -> np.ndarray:
-    rounded = np.round(r)
-    return np.where(np.abs(r - rounded) < SNAP_TOL, rounded, r)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +91,6 @@ class UpstreamCell2D:
     feet: np.ndarray         # (npts, 2), canonical source ordering
     edges: np.ndarray        # (4, 2, 3) quadratic edge coefficients, CCW
     test: TestPoly2D
-    shift: tuple[float, float]
 
     @property
     def bbox(self) -> tuple[float, float, float, float]:
@@ -238,7 +115,6 @@ class OverlapRegion:
     ix: int                         # unwrapped column
     iy: int                         # unwrapped row
     segments: np.ndarray            # (nseg, 2, 3) quadratic coefficients over [0, 1]
-    shift: tuple[float, float]      # subtract to map into the primary domain
     anchor_x: float                 # left edge of the background cell (unwrapped)
 
     def closure_gap(self) -> float:
@@ -247,77 +123,16 @@ class OverlapRegion:
         return float(np.max(np.linalg.norm(ends - np.roll(starts, -1, axis=0), axis=1)))
 
 
-def tracked_points(mode: str, k: int) -> tuple:
-    """Reference positions traced for a cell: 9 whenever P2 data is needed."""
-    return CELL_POINTS_9 if (k == 2 or mode == "qc") else CELL_POINTS_4
-
-
-def fit_test_polynomials(feet: np.ndarray, k: int, dx: float, dy: float) -> TestPoly2D:
-    """Least-squares fit Psi*(foot_q) = Psi(source_q) for every test basis."""
-    basis = Basis(k, 2)
-    npts = feet.shape[0]
-    src = np.array((CELL_POINTS_9 if npts == 9 else CELL_POINTS_4))
-    B = basis.eval(src[:, 0], src[:, 1])      # (npts, dim) target values
-    center = feet.mean(axis=0)
-    A = basis.eval((feet[:, 0] - center[0]) / dx, (feet[:, 1] - center[1]) / dy)
-    G = A.T @ A
-    sol = np.linalg.solve(G, A.T @ B)         # (dim_d, dim_m)
-    return TestPoly2D(center=center, scale=(dx, dy), coeffs=sol.T, k=k)
-
-
-def _check_simple(corners: np.ndarray, j: int) -> None:
-    """Reject self-intersecting or negatively oriented corner quadrilaterals."""
-    x, y = corners[:, 0], corners[:, 1]
-    area2 = np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))
-    if area2 <= 0.0:
-        raise GeometryError(f"upstream quadrilateral of cell {j} is degenerate or flipped")
-    if _segments_cross(corners[0], corners[1], corners[2], corners[3]) or _segments_cross(
-        corners[1], corners[2], corners[3], corners[0]
-    ):
-        raise GeometryError(f"upstream quadrilateral of cell {j} is self-intersecting")
-
-
-def _segments_cross(p, q, r, s) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    return (orient(p, q, r) * orient(p, q, s) < 0) and (orient(r, s, p) * orient(r, s, q) < 0)
-
-
 def build_upstream_2d(mesh: Mesh2D, j: int, t_end: float, t_start: float,
                       v: VelocityField, k: int, mode: str = "quad",
                       substeps: int | None = None) -> UpstreamCell2D:
-    """Trace one cell's points, fit its tests and build its edge curves."""
+    """Cell j's traced points, fitted tests and edge curves, as the assembler has them."""
     if mode not in ("quad", "qc"):
         raise ValueError("mode must be 'quad' or 'qc'")
-    if substeps is None:
-        substeps = substeps_for(mesh, v, t_end, t_start)
-    ref = tracked_points(mode, k)
-    ix, iy = j % mesh.nx, j // mesh.nx
-    cx = mesh.x_a + mesh.dx * (ix + 0.5)
-    cy = mesh.y_a + mesh.dy * (iy + 0.5)
-    sx = np.array([cx + mesh.dx * p for p, _ in ref])
-    sy = np.array([cy + mesh.dy * q for _, q in ref])
-    fx, fy = trace_back((sx, sy), t_end, t_start, v, substeps)
-
-    # recentre so the bounding-box midpoint lands in the primary domain
-    lx, ly = mesh.lengths
-    shift_x = -math.floor((0.5 * (fx.min() + fx.max()) - mesh.x_a) / lx) * lx
-    shift_y = -math.floor((0.5 * (fy.min() + fy.max()) - mesh.y_a) / ly) * ly
-    fx = snap_index((fx + shift_x - mesh.x_a) / mesh.dx) * mesh.dx + mesh.x_a
-    fy = snap_index((fy + shift_y - mesh.y_a) / mesh.dy) * mesh.dy + mesh.y_a
-    feet = np.column_stack([fx, fy])
-
-    _check_simple(feet[:4], j)
-    test = fit_test_polynomials(feet, k, mesh.dx, mesh.dy)
-
-    corners = feet[:4]
-    if len(ref) == 9 and mode == "qc":
-        mids = feet[4:8]
-    else:
-        mids = 0.5 * (corners + np.roll(corners, -1, axis=0))
-    edges = quadratic_through(corners, mids, np.roll(corners, -1, axis=0))  # (4, 2, 3)
-    return UpstreamCell2D(j, t_end, t_start, mode, feet, edges, test, (shift_x, shift_y))
+    feet = traced_cell_points(mesh, t_end, t_start, v, tracked_points(mode, k), substeps)[j:j + 1]
+    centers, cfit = fit_tests(feet, k, mesh.dx, mesh.dy)
+    test = TestPoly2D(center=centers[0], scale=(mesh.dx, mesh.dy), coeffs=cfit[0], k=k)
+    return UpstreamCell2D(j, t_end, t_start, mode, feet[0], cell_edges(feet, mode)[0], test)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +234,7 @@ def clip_upstream(up: UpstreamCell2D, mesh: Mesh2D) -> list[OverlapRegion]:
     regions: list[OverlapRegion] = []
     for (cix, ciy), plist in by_cell.items():
         for loop in _chain_cell(plist, cix, ciy):
-            regions.append(_make_region(loop, cix, ciy, mesh, up.shift))
+            regions.append(_make_region(loop, cix, ciy, mesh))
 
     # background cells fully covered by the upstream region
     cx0 = int(np.floor(snap_index(np.array([(xlo - mesh.x_a) / mesh.dx]))[0]))
@@ -441,7 +256,7 @@ def clip_upstream(up: UpstreamCell2D, mesh: Mesh2D) -> list[OverlapRegion]:
                     _straight_segment(corners_idx[i], corners_idx[(i + 1) % 4])
                     for i in range(4)
                 ]
-                regions.append(_make_region(np.array(segs), cix, ciy, mesh, up.shift))
+                regions.append(_make_region(np.array(segs), cix, ciy, mesh))
 
     out = []
     cell_area = mesh.dx * mesh.dy
@@ -543,17 +358,14 @@ def _chain_cell(plist: list, cix: int, ciy: int) -> list[np.ndarray]:
     return loops
 
 
-def _make_region(segs_idx: np.ndarray, cix: int, ciy: int, mesh: Mesh2D,
-                 shift: tuple[float, float]) -> OverlapRegion:
+def _make_region(segs_idx: np.ndarray, cix: int, ciy: int, mesh: Mesh2D) -> OverlapRegion:
     segs = segs_idx.copy()
     segs[:, 0, :] *= mesh.dx
     segs[:, 0, 0] += mesh.x_a
     segs[:, 1, :] *= mesh.dy
     segs[:, 1, 0] += mesh.y_a
     wrapped = mesh.cell_index(np.array(cix), np.array(ciy))
-    lx, ly = mesh.lengths
-    extra = ((cix // mesh.nx) * lx - shift[0], (ciy // mesh.ny) * ly - shift[1])
-    region = OverlapRegion(int(wrapped), cix, ciy, segs, extra, mesh.x_a + cix * mesh.dx)
+    region = OverlapRegion(int(wrapped), cix, ciy, segs, mesh.x_a + cix * mesh.dx)
     gap = region.closure_gap()
     if gap > CHAIN_TOL * max(mesh.dx, mesh.dy):
         raise GeometryError(f"overlap region in cell ({cix},{ciy}) has closure gap {gap:.2e}")

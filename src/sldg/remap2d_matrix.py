@@ -21,6 +21,12 @@ integral over the closed upstream boundary vanishes.
 Exactness of all quadrature makes the operator reproduce the mass matrix
 for zero velocity and the projection of the translated field for constant
 velocity, to rounding.
+
+The module also holds the geometry the per-cell reference path in
+``remap2d`` shares: the traced and snapped cell points, the upstream-quad
+guard, the least-squares test fits and the quadratic edge kernels.  Edges
+are quadratic parametrizations (x(s), y(s)) for s in [0, 1]; straight
+segments are the degenerate case with vanishing quadratic part.
 """
 
 from __future__ import annotations
@@ -28,108 +34,230 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .characteristics import VelocityField, substeps_for, trace_back
+from .characteristics import (
+    CELL_POINTS_4,
+    CELL_POINTS_9,
+    VelocityField,
+    cell_lattice,
+    snap_index,
+    substeps_for,
+    trace_back,
+)
 from .core import Basis, Mesh2D, basis_dim, gauss_rule
 from .remap1d import GeometryError
-from .remap2d import (
-    eval_quadratic,
-    eval_quadratic_deriv,
-    quadratic_range,
-    quadratic_through,
-    snap_index,
-    split_edges_at_gridlines,
-    tracked_points,
-)
 
+ROOT_EDGE_TOL = 1e-11  # crossings this close to an edge endpoint are dropped
 _CHUNK = 40_000
 
 
-def _traced_cell_points(mesh: Mesh2D, t_end: float, t_start: float, v: VelocityField,
-                        npts: int, substeps: int | None) -> np.ndarray:
-    """Feet of every cell's tracked points, shared through the mesh nodes.
+# ---------------------------------------------------------------------------
+# quadratic edge kernels
+# ---------------------------------------------------------------------------
 
-    Grid nodes, edge midpoints and centers are traced once and gathered per
-    cell, so neighbouring cells see bitwise identical shared feet; feet are
-    then recentred into the primary domain per cell and snapped onto grid
-    lines within the geometric tolerance.
+def quadratic_through(p0: np.ndarray, pm: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Coefficients (c, b, a) of the parabola through p0, pm, p2 at s = 0, 1/2, 1.
+
+    Input arrays share a common leading shape; the result has an extra
+    trailing axis holding (constant, linear, quadratic) coefficients.
+    """
+    c = p0
+    b = -3.0 * p0 + 4.0 * pm - p2
+    a = 2.0 * p0 - 4.0 * pm + 2.0 * p2
+    return np.stack([c, b, a], axis=-1)
+
+
+def eval_quadratic(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Evaluate (c, b, a) coefficient arrays; broadcasts over leading axes."""
+    return coeffs[..., 0] + s * (coeffs[..., 1] + s * coeffs[..., 2])
+
+
+def eval_quadratic_deriv(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return coeffs[..., 1] + 2.0 * s * coeffs[..., 2]
+
+
+def quadratic_range(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """True min/max of a batch of quadratics over s in [0, 1]."""
+    v0 = eval_quadratic(coeffs, 0.0)
+    v1 = eval_quadratic(coeffs, 1.0)
+    lo = np.minimum(v0, v1)
+    hi = np.maximum(v0, v1)
+    a, b = coeffs[..., 2], coeffs[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sv = np.where(np.abs(a) > 0.0, -b / (2.0 * a), -1.0)
+    interior = (sv > 0.0) & (sv < 1.0)
+    vv = eval_quadratic(coeffs, np.where(interior, sv, 0.0))
+    lo = np.where(interior, np.minimum(lo, vv), lo)
+    hi = np.where(interior, np.maximum(hi, vv), hi)
+    return lo, hi
+
+
+def _line_crossings(coeffs: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """Parameters where quadratics cross given levels; non-crossings are NaN.
+
+    coeffs: (P, 3) one component per row; lines: (P,) target level per row.
+    Returns (P, 2) roots inside (0, 1); tangencies count as touches and are
+    dropped.
+    """
+    c = coeffs[:, 0] - lines
+    b = coeffs[:, 1]
+    a = coeffs[:, 2]
+    out = np.full((coeffs.shape[0], 2), np.nan)
+    scale = np.maximum(np.abs(a) + np.abs(b) + np.abs(c), 1e-30)
+    lin = np.abs(a) <= 1e-13 * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_lin = -c / b
+    ok_lin = lin & (np.abs(b) > 1e-13 * scale)
+    out[:, 0] = np.where(ok_lin, r_lin, out[:, 0])
+
+    disc = b * b - 4.0 * a * c
+    quad = (~lin) & (disc > 1e-24 * scale**2)
+    sq = np.sqrt(np.where(quad, disc, 0.0))
+    qq = -0.5 * (b + np.sign(np.where(b == 0.0, 1.0, b)) * sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = np.where(quad, qq / a, np.nan)
+        r2 = np.where(quad & (np.abs(qq) > 0.0), c / qq, np.nan)
+    out[:, 0] = np.where(quad, r1, out[:, 0])
+    out[:, 1] = np.where(quad, r2, out[:, 1])
+    inside = (out > ROOT_EDGE_TOL) & (out < 1.0 - ROOT_EDGE_TOL)
+    return np.where(inside, out, np.nan)
+
+
+def split_edges_at_gridlines(edges_idx: np.ndarray):
+    """Split a batch of edges (index coordinates) at every grid-line crossing.
+
+    edges_idx: (E, 2, 3) quadratic coefficients of (rx(s), ry(s)).
+    Returns (edge_id, s0, s1) flat arrays of sub-pieces ordered along each
+    edge.
+    """
+    E = edges_idx.shape[0]
+    root_eids = []
+    root_vals = []
+    for axis in (0, 1):
+        lo, hi = quadratic_range(edges_idx[:, axis, :])
+        first = np.floor(lo).astype(int) + 1
+        count = np.maximum(np.ceil(hi).astype(int) - first, 0)
+        if count.sum() == 0:
+            continue
+        eid = np.repeat(np.arange(E), count)
+        offs = np.concatenate([[0], np.cumsum(count)])
+        level = (first[eid] + (np.arange(eid.size) - offs[eid])).astype(float)
+        roots = _line_crossings(edges_idx[eid, axis, :], level)
+        for col in range(2):
+            valid = ~np.isnan(roots[:, col])
+            root_eids.append(eid[valid])
+            root_vals.append(roots[valid, col])
+
+    if root_eids:
+        eids = np.concatenate(root_eids)
+        vals = np.concatenate(root_vals)
+        order = np.lexsort((vals, eids))
+        eids, vals = eids[order], vals[order]
+        if eids.size:
+            fresh = np.concatenate(
+                [[True], (np.diff(eids) != 0) | (np.diff(vals) > 1e-12)]
+            )
+            eids, vals = eids[fresh], vals[fresh]
+    else:
+        eids = np.empty(0, dtype=int)
+        vals = np.empty(0)
+    if vals.size == 0:
+        return np.arange(E), np.zeros(E), np.ones(E)
+
+    nroots = np.bincount(eids, minlength=E)
+    root_offs = np.concatenate([[0], np.cumsum(nroots)])
+    npieces = nroots + 1
+    offs = np.concatenate([[0], np.cumsum(npieces)])
+    total = offs[-1]
+    edge_id = np.repeat(np.arange(E), npieces)
+    pos = np.arange(total) - offs[edge_id]
+    take = root_offs[edge_id] + pos
+    s0 = np.where(pos == 0, 0.0, vals[np.maximum(take - 1, 0)])
+    s1 = np.where(pos == nroots[edge_id], 1.0, vals[np.minimum(take, max(vals.size - 1, 0))])
+    keep = s1 - s0 > 1e-12
+    return edge_id[keep], s0[keep], s1[keep]
+
+
+# ---------------------------------------------------------------------------
+# traced cell points, guards and test reconstruction
+# ---------------------------------------------------------------------------
+
+def tracked_points(mode: str, k: int) -> tuple:
+    """Reference positions traced for a cell: 9 whenever P2 data is needed."""
+    return CELL_POINTS_9 if (k == 2 or mode == "qc") else CELL_POINTS_4
+
+
+def traced_cell_points(mesh: Mesh2D, t_end: float, t_start: float, v: VelocityField,
+                       ref: tuple, substeps: int | None = None) -> np.ndarray:
+    """Feet of every cell's reference points ``ref``, shape (ncells, npts, 2).
+
+    The points are traced once on the cell lattice and gathered per cell, so
+    neighbouring cells see bitwise identical shared feet.  Each cell's feet
+    are then shifted by whole periods so that the midpoint of its corners'
+    bounding box lies in the primary domain, snapped onto grid lines within
+    SNAP_TOL, and its corner quadrilateral is checked.
     """
     if substeps is None:
         substeps = substeps_for(mesh, v, t_end, t_start)
-    nx, ny = mesh.nx, mesh.ny
-    gx = mesh.x_a + mesh.dx * np.arange(nx + 1)
-    gy = mesh.y_a + mesh.dy * np.arange(ny + 1)
-
-    batches_x = [np.repeat(gx, ny + 1)]
-    batches_y = [np.tile(gy, nx + 1)]
-    counts = [(nx + 1) * (ny + 1)]
-    if npts == 9:
-        hx = mesh.x_a + mesh.dx * (np.arange(nx) + 0.5)
-        batches_x += [np.repeat(hx, ny + 1), np.repeat(gx, ny), np.repeat(hx, ny)]
-        batches_y += [np.tile(gy, nx), np.tile(gy[:-1] + 0.5 * mesh.dy, nx + 1),
-                      np.tile(gy[:-1] + 0.5 * mesh.dy, nx)]
-        counts += [nx * (ny + 1), (nx + 1) * ny, nx * ny]
-    fx, fy = trace_back((np.concatenate(batches_x), np.concatenate(batches_y)),
-                        t_end, t_start, v, substeps)
-    splits = np.cumsum(counts)[:-1]
-    fxs = np.split(fx, splits)
-    fys = np.split(fy, splits)
-    corner_x = fxs[0].reshape(nx + 1, ny + 1)
-    corner_y = fys[0].reshape(nx + 1, ny + 1)
-
-    ix = np.tile(np.arange(nx), ny)
-    iy = np.repeat(np.arange(ny), nx)
-    feet = np.empty((mesh.ncells, npts, 2))
-    feet[:, 0, 0] = corner_x[ix, iy]
-    feet[:, 0, 1] = corner_y[ix, iy]
-    feet[:, 1, 0] = corner_x[ix + 1, iy]
-    feet[:, 1, 1] = corner_y[ix + 1, iy]
-    feet[:, 2, 0] = corner_x[ix + 1, iy + 1]
-    feet[:, 2, 1] = corner_y[ix + 1, iy + 1]
-    feet[:, 3, 0] = corner_x[ix, iy + 1]
-    feet[:, 3, 1] = corner_y[ix, iy + 1]
-    if npts == 9:
-        hx_x = fxs[1].reshape(nx, ny + 1)
-        hx_y = fys[1].reshape(nx, ny + 1)
-        vx_x = fxs[2].reshape(nx + 1, ny)
-        vx_y = fys[2].reshape(nx + 1, ny)
-        cc_x = fxs[3].reshape(nx, ny)
-        cc_y = fys[3].reshape(nx, ny)
-        feet[:, 4, 0] = hx_x[ix, iy]
-        feet[:, 4, 1] = hx_y[ix, iy]
-        feet[:, 5, 0] = vx_x[ix + 1, iy]
-        feet[:, 5, 1] = vx_y[ix + 1, iy]
-        feet[:, 6, 0] = hx_x[ix, iy + 1]
-        feet[:, 6, 1] = hx_y[ix, iy + 1]
-        feet[:, 7, 0] = vx_x[ix, iy]
-        feet[:, 7, 1] = vx_y[ix, iy]
-        feet[:, 8, 0] = cc_x[ix, iy]
-        feet[:, 8, 1] = cc_y[ix, iy]
-
-    lx, ly = mesh.lengths
-    cx = 0.5 * (feet[:, :4, 0].min(axis=1) + feet[:, :4, 0].max(axis=1))
-    cy = 0.5 * (feet[:, :4, 1].min(axis=1) + feet[:, :4, 1].max(axis=1))
-    feet[:, :, 0] -= np.floor((cx - mesh.x_a) / lx)[:, None] * lx
-    feet[:, :, 1] -= np.floor((cy - mesh.y_a) / ly)[:, None] * ly
-    feet[:, :, 0] = mesh.x_a + snap_index((feet[:, :, 0] - mesh.x_a) / mesh.dx) * mesh.dx
-    feet[:, :, 1] = mesh.y_a + snap_index((feet[:, :, 1] - mesh.y_a) / mesh.dy) * mesh.dy
+    points, index = cell_lattice(mesh, ref)
+    feet = np.stack([f[index] for f in trace_back(points, t_end, t_start, v, substeps)], axis=-1)
+    for a, (lo, w, period) in enumerate(zip(mesh.lower, mesh.widths, mesh.lengths)):
+        corners = feet[:, :4, a]
+        mid = 0.5 * (corners.min(axis=1) + corners.max(axis=1))
+        f = feet[:, :, a] - np.floor((mid - lo) / period)[:, None] * period
+        feet[:, :, a] = lo + snap_index((f - lo) / w) * w
+    check_upstream_quads(feet[:, :4])
     return feet
 
 
-def _check_simple_batch(corners: np.ndarray) -> None:
-    x, y = corners[:, :, 0], corners[:, :, 1]
-    area2 = np.einsum("cq,cq->c", x, np.roll(y, -1, axis=1)) - np.einsum(
-        "cq,cq->c", y, np.roll(x, -1, axis=1)
-    )
-    if np.any(area2 <= 0.0):
-        bad = int(np.argmin(area2))
-        raise GeometryError(f"upstream quadrilateral of cell {bad} is degenerate or flipped")
+def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (b[..., 1] - a[..., 1]) * (
+        c[..., 0] - a[..., 0])
 
 
-def _fit_tests_batch(feet: np.ndarray, k: int, dx: float, dy: float):
-    """Batched least-squares reconstruction coefficients for all cells."""
+def _crossing(p, q, r, s) -> np.ndarray:
+    """Whether segments pq and rs cross at interior points."""
+    return (_orient(p, q, r) * _orient(p, q, s) < 0) & (_orient(r, s, p) * _orient(r, s, q) < 0)
+
+
+def check_upstream_quads(corners: np.ndarray) -> None:
+    """Reject flipped, degenerate or self-crossing upstream corner quadrilaterals.
+
+    ``corners`` has shape (ncells, 4, 2) in counterclockwise source order;
+    the GeometryError names the first bad cell.
+    """
+    x, y = corners[..., 0], corners[..., 1]
+    area2 = np.sum(x * np.roll(y, -1, axis=1) - y * np.roll(x, -1, axis=1), axis=1)
+    p = [corners[:, i] for i in range(4)]
+    bowtie = _crossing(p[0], p[1], p[2], p[3]) | _crossing(p[1], p[2], p[3], p[0])
+    bad = np.flatnonzero((area2 <= 0.0) | bowtie)
+    if bad.size:
+        j = bad[0]
+        what = "self-intersecting" if bowtie[j] else "degenerate or flipped"
+        raise GeometryError(f"upstream quadrilateral of cell {j} is {what}")
+
+
+def cell_edges(feet: np.ndarray, mode: str) -> np.ndarray:
+    """Counterclockwise edge curves (ncells, 4, 2, 3) of the upstream cells.
+
+    Quad cells join the traced corners by straight segments; QC cells pass
+    parabolas through each edge's traced midpoint.
+    """
+    corners = feet[:, :4]
+    nxt = np.roll(corners, -1, axis=1)
+    mids = feet[:, 4:8] if mode == "qc" else 0.5 * (corners + nxt)
+    return quadratic_through(corners, mids, nxt)
+
+
+def fit_tests(feet: np.ndarray, k: int, dx: float, dy: float):
+    """Least-squares fits Psi*(foot_q) = Psi(source_q) of every test basis.
+
+    ``feet`` has shape (ncells, npts, 2).  Returns the fit-frame centers (the
+    feet centroids, (ncells, 2)) and coefficients (ncells, m, d): test m's
+    reconstruction in the basis centered there and scaled by the cell widths.
+    """
     basis = Basis(k, 2)
     npts = feet.shape[1]
-    src = np.array(tracked_points("qc" if npts == 9 else "quad", k)[:npts])
+    src = np.array(CELL_POINTS_9[:npts])
     B = basis.eval(src[:, 0], src[:, 1])                     # (npts, m)
     centers = feet.mean(axis=1)                              # (C, 2)
     A = basis.eval(
@@ -150,19 +278,10 @@ def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
         raise ValueError("mode must be 'quad' or 'qc'")
     d = basis_dim(k, 2)
     basis = Basis(k, 2)
-    npts = len(tracked_points(mode, k))
-    feet = _traced_cell_points(mesh, t_end, t_start, v, npts, substeps)
-    _check_simple_batch(feet[:, :4])
-    centers, cfit = _fit_tests_batch(feet, k, mesh.dx, mesh.dy)
+    feet = traced_cell_points(mesh, t_end, t_start, v, tracked_points(mode, k), substeps)
+    centers, cfit = fit_tests(feet, k, mesh.dx, mesh.dy)
 
-    corners = feet[:, :4]
-    if npts == 9 and mode == "qc":
-        mids = feet[:, 4:8]
-    else:
-        mids = 0.5 * (corners + np.roll(corners, -1, axis=1))
-    edges = quadratic_through(corners, mids, np.roll(corners, -1, axis=1))   # (C, 4, 2, 3)
-
-    eflat = edges.reshape(-1, 2, 3).copy()
+    eflat = cell_edges(feet, mode).reshape(-1, 2, 3)
     eflat[:, 0, :] /= mesh.dx
     eflat[:, 0, 0] -= mesh.x_a / mesh.dx
     eflat[:, 1, :] /= mesh.dy

@@ -15,7 +15,8 @@ diagonal coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .characteristics import VelocityField
-from .core import DGField, Mesh1D, mass_vector, project
+from .core import DGField, mass_vector, project, total_mass
 from .ldg import FluxChoice, LDGOperator, assemble_ldg_1d, assemble_ldg_2d
 from .remap1d import assemble_remap_1d
 from .remap2d_matrix import assemble_remap_2d
@@ -125,10 +126,7 @@ def cfl_to_dt(cfl: float, mesh, v: VelocityField) -> float:
     """Time step realizing a prescribed CFL number for the given field."""
     if cfl <= 0.0:
         raise ValueError("CFL must be positive")
-    if isinstance(mesh, Mesh1D):
-        denom = v.max_speed[0] / mesh.dx
-    else:
-        denom = v.max_speed[0] / mesh.dx + v.max_speed[1] / mesh.dy
+    denom = sum(s / w for s, w in zip(v.max_speed, mesh.widths))
     if denom == 0.0:
         raise ValueError("zero velocity bound: choose dt directly")
     return cfl / denom
@@ -138,19 +136,22 @@ class Stepper:
     """Advances one convection-diffusion problem on a fixed mesh.
 
     Holds the assembled diffusion operator, the per-geometry remap matrices
-    and the factorized/cached implicit systems.  Instances are not thread
-    safe; use one stepper per concurrent run.
+    and the factorized/cached implicit systems.  Meshes are periodic.
+    ``source_mass`` is the mass the source term has added since ``run``
+    last started (or since construction, for bare ``step`` calls), as the
+    tableau's weights integrate it; a step that raises adds nothing.  The
+    remap and the diffusion operator conserve mass, so ``total_mass``
+    changes by that much over a run, to the stage-solve tolerance.  Instances are not thread safe; use one
+    stepper per concurrent run.
     """
 
     def __init__(self, mesh, k: int, velocity: VelocityField, eps: float = 0.0,
                  source: Callable | None = None, tab: ButcherTableau | str = "dirk4",
                  solver: LinearSolverConfig | None = None, flux: FluxChoice | None = None,
-                 mode: str = "quad", bc: str = "periodic", substeps: int | None = None):
-        if bc != "periodic":
-            raise ValueError("the semi-Lagrangian stepper supports periodic boundaries only")
+                 mode: str = "quad"):
         self.mesh = mesh
         self.k = k
-        self.ndim = 1 if isinstance(mesh, Mesh1D) else 2
+        self.ndim = mesh.ndim
         self.velocity = velocity
         self.eps = float(eps)
         self.source = source
@@ -158,15 +159,12 @@ class Stepper:
         self.tableau.validate()
         self.solver = solver or LinearSolverConfig()
         self.mode = mode
-        self.substeps = substeps
         self.mass = mass_vector(mesh, k)
-        if self.ndim == 1:
-            self.ldg: LDGOperator = assemble_ldg_1d(mesh, k, flux, bc)
-        else:
-            self.ldg = assemble_ldg_2d(mesh, k, flux, bc)
+        self.ldg: LDGOperator = (assemble_ldg_1d, assemble_ldg_2d)[self.ndim - 1](mesh, k, flux)
         self._remap_cache: dict = {}
         self._system_cache: dict = {}
         self.last_residual = 0.0
+        self.source_mass = 0.0
 
     # -- remap operators ----------------------------------------------------
 
@@ -180,11 +178,8 @@ class Stepper:
             key = round(t_hi - t_lo, 12)
         R = self._remap_cache.get(key)
         if R is None:
-            if self.ndim == 1:
-                R = assemble_remap_1d(self.mesh, self.k, t_hi, t_lo, self.velocity, self.substeps)
-            else:
-                R = assemble_remap_2d(self.mesh, self.k, t_hi, t_lo, self.velocity,
-                                      self.mode, self.substeps)
+            assemble = (assemble_remap_1d, partial(assemble_remap_2d, mode=self.mode))[self.ndim - 1]
+            R = assemble(self.mesh, self.k, t_hi, t_lo, self.velocity)
             self._remap_cache[key] = R
         return R
 
@@ -264,6 +259,7 @@ class Stepper:
 
         stage_p: list[np.ndarray | None] = [None] * s
         stage_g: list[np.ndarray | None] = [None] * s
+        added = 0.0
         x = u.coeffs.ravel()
         for ii in range(s):
             t_ii = t + c[ii] * dt
@@ -283,25 +279,21 @@ class Stepper:
                     self._remap(t_ii, t + c[jj] * dt), combo
                 )
             if self.source is not None:
-                g_ii = self._project_source(t_ii)
-                stage_g[ii] = g_ii
-                rhs = rhs + A[ii, ii] * dt * (self.mass * g_ii)
+                g = project(lambda *x: self.source(*x, t_ii), self.mesh, self.k)
+                added += self.tableau.b[ii] * dt * total_mass(g)
+                stage_g[ii] = g.coeffs.ravel()
+                rhs = rhs + A[ii, ii] * dt * (self.mass * stage_g[ii])
             x = self.solve_stage(A[ii, ii] * dt * self.eps, rhs)
             if self.eps != 0.0:
                 stage_p[ii] = self.ldg.apply_flat(x)
+        self.source_mass += added
         return DGField(self.mesh, self.k, x.reshape(u.coeffs.shape), t + dt)
-
-    def _project_source(self, t_at: float) -> np.ndarray:
-        if self.ndim == 1:
-            f = lambda xx: self.source(xx, t_at)
-        else:
-            f = lambda xx, yy: self.source(xx, yy, t_at)
-        return project(f, self.mesh, self.k).coeffs.ravel()
 
     def run(self, u0: DGField, T: float, dt: float,
             callback: Callable[[DGField], None] | None = None) -> DGField:
         """March from u0.time to T with fixed dt and a truncated final step."""
         u = u0
+        self.source_mass = 0.0
         remaining = T - u.time
         if remaining <= 0.0:
             return u

@@ -15,7 +15,7 @@ from .characteristics import constant_1d, constant_2d, rigid_rotation, sine_1d, 
 from .core import Basis, Mesh1D, Mesh2D, QuadratureRule, gauss_rule, mass_vector, project
 from .ldg import FluxChoice, assemble_ldg_1d, assemble_ldg_2d, dissipativity_check
 from .remap1d import assemble_remap_1d, build_upstream_1d, split_subintervals
-from .remap2d import build_upstream_2d, clip_upstream, eval_quadratic, region_area
+from .remap2d import build_upstream_2d, clip_upstream, region_area
 from .remap2d_matrix import assemble_remap_2d
 from .timeint import tableau
 
@@ -62,18 +62,12 @@ def shoelace(poly: np.ndarray) -> float:
 def check_basis_orthogonality() -> tuple:
     worst = 0.0
     for k in (0, 1, 2):
-        b1 = Basis(k, 1)
-        nodes, weights = gauss_rule(k + 2)
-        phi = b1.eval(nodes)
-        gram = np.einsum("q,qm,ql->ml", weights, phi, phi)
-        off = gram - np.diag(np.diag(gram))
-        worst = max(worst, np.max(np.abs(off)) / np.min(np.diag(gram)))
-        b2 = Basis(k, 2)
-        rule = QuadratureRule.gauss_2d(k + 2)
-        phi2 = b2.eval(rule.nodes[:, 0], rule.nodes[:, 1])
-        gram2 = np.einsum("q,qm,ql->ml", rule.weights, phi2, phi2)
-        off2 = gram2 - np.diag(np.diag(gram2))
-        worst = max(worst, np.max(np.abs(off2)) / np.min(np.diag(gram2)))
+        for ndim in (1, 2):
+            rule = QuadratureRule.gauss(k + 2, ndim)
+            phi = Basis(k, ndim).eval(*rule.nodes.T)
+            gram = np.einsum("q,qm,ql->ml", rule.weights, phi, phi)
+            off = gram - np.diag(np.diag(gram))
+            worst = max(worst, np.max(np.abs(off)) / np.min(np.diag(gram)))
     return "basis orthogonality", worst < 1e-14, f"max off-diagonal {worst:.2e}"
 
 
@@ -190,7 +184,7 @@ def check_green_vs_clipping() -> tuple:
     worst = 0.0
     for j in (9, 27, 44, 61):
         up = build_upstream_2d(mesh, j, 0.25, 0.0, v, 1, "quad")
-        corners = _corner_polyline(up)
+        corners = up.feet[:4]
         for r in clip_upstream(up, mesh):
             rect = (
                 mesh.x_a + r.ix * mesh.dx, mesh.x_a + (r.ix + 1) * mesh.dx,
@@ -199,10 +193,6 @@ def check_green_vs_clipping() -> tuple:
             oracle = shoelace(sutherland_hodgman(corners, rect))
             worst = max(worst, abs(region_area(r) - oracle))
     return "green area vs polygon clipping", worst < 1e-11, f"max difference {worst:.2e}"
-
-
-def _corner_polyline(up) -> np.ndarray:
-    return np.array([eval_quadratic(up.edges[e], 0.0) for e in range(4)])
 
 
 def check_ldg_energy() -> tuple:

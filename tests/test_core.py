@@ -38,14 +38,9 @@ def test_mesh2d_indexing():
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_basis_orthogonality(k, ndim):
     basis = Basis(k, ndim)
-    if ndim == 1:
-        nodes, weights = gauss_rule(k + 2)
-        phi = basis.eval(nodes)
-    else:
-        rule = QuadratureRule.gauss_2d(k + 2)
-        nodes, weights = rule.nodes, rule.weights
-        phi = basis.eval(nodes[:, 0], nodes[:, 1])
-    gram = np.einsum("q,qm,ql->ml", weights, phi, phi)
+    rule = QuadratureRule.gauss(k + 2, ndim)
+    phi = basis.eval(*rule.nodes.T)
+    gram = np.einsum("q,qm,ql->ml", rule.weights, phi, phi)
     off = np.abs(gram - np.diag(np.diag(gram)))
     assert np.max(off) < 1e-14 * np.min(np.diag(gram)) + 1e-16
     assert np.allclose(np.diag(gram), basis.mass_diag(), rtol=1e-14)
@@ -110,9 +105,9 @@ def test_eval_cases():
 
     quad = DGField.zeros(m, 2)
     quad.coeffs[1] = [0.0, 0.0, 1.0]
-    # right edge of cell 1 is x = 2: one-sided traces disagree
-    assert quad.evaluate(np.array([2.0]), side="left")[0] == pytest.approx(1.0 / 6.0)
-    assert quad.evaluate(np.array([2.0]), side="right")[0] == pytest.approx(0.0, abs=1e-12)
+    # xi^2 - 1/12 inside cell 1; cell 2 carries nothing
+    assert quad.evaluate(np.array([1.75]))[0] == pytest.approx(1.0 / 16.0 - 1.0 / 12.0)
+    assert quad.evaluate(np.array([2.5]))[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_eval_periodic_wrap():

@@ -9,7 +9,6 @@ from sldg.ldg import (
     assemble_ldg_1d,
     assemble_ldg_2d,
     dissipativity_check,
-    local_matrices_1d,
 )
 
 
@@ -18,15 +17,19 @@ def test_flux_choice_validation():
         FluxChoice("uminus_uminus")
 
 
-def test_local_matrices_k1_hand_values():
-    lm = local_matrices_1d(1)
-    assert np.allclose(np.diag(lm.M), [1.0, 1.0 / 12.0])
-    assert np.allclose(lm.C, [[1.0, 0.5], [0.5, 0.25]])
-    # neighbour right-edge trace against own left-edge trace
-    assert np.allclose(lm.D, [[1.0, 0.5], [-0.5, -0.25]])
-    assert np.allclose(lm.E, [[1.0, -0.5], [0.5, -0.25]])
-    assert np.allclose(lm.F, [[1.0, -0.5], [-0.5, 0.25]])
-    assert np.allclose(lm.N, [[0.0, 0.0], [1.0, 0.0]], atol=1e-15)
+def test_first_derivative_blocks_k1_hand_values():
+    # products of the edge traces (1, +-1/2) of {1, xi} and the volume
+    # coupling (phi_l, dphi_m/dxi), as the 1D sweep uses them
+    import sldg.ldg as ldg_mod
+
+    own, nb, off = ldg_mod._first_derivative_blocks(1, 1, 0, "minus")
+    assert off == -1
+    assert np.allclose(own, [[1.0, 0.5], [0.5 - 1.0, 0.25]])
+    assert np.allclose(nb, [[-1.0, -0.5], [0.5, 0.25]])
+    own, nb, off = ldg_mod._first_derivative_blocks(1, 1, 0, "plus")
+    assert off == 1
+    assert np.allclose(own, [[-1.0, 0.5], [0.5 - 1.0, -0.25]])
+    assert np.allclose(nb, [[1.0, -0.5], [0.5, -0.25]])
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -128,8 +131,8 @@ def test_mirror_flux_adjoint_structure():
 
     mesh = Mesh1D(0.0, 2 * np.pi, 10)
     M = mass_vector(mesh, 2)
-    Gm = ldg_mod._sweep_matrix(mesh, 2, 0, "minus", "periodic").toarray()
-    Gp = ldg_mod._sweep_matrix(mesh, 2, 0, "plus", "periodic").toarray()
+    Gm = ldg_mod._sweep_matrix(mesh, 2, 0, "minus").toarray()
+    Gp = ldg_mod._sweep_matrix(mesh, 2, 0, "plus").toarray()
     assert np.max(np.abs(Gp + np.diag(1 / M) @ Gm.T @ np.diag(M))) < 1e-11
     for orient in ("uminus_qplus", "uplus_qminus"):
         A = assemble_ldg_1d(mesh, 2, FluxChoice(orient)).op.toarray()
@@ -187,14 +190,3 @@ def test_energy_identity_2d():
     s, qsq = dissipativity_check(op, u)
     assert s <= 0.0
     assert abs(s + qsq) < 1e-11 * qsq
-
-
-def test_zero_bc_assembles_and_differs():
-    mesh = Mesh1D(0.0, 1.0, 8)
-    per = assemble_ldg_1d(mesh, 1, bc="periodic")
-    zero = assemble_ldg_1d(mesh, 1, bc="zero")
-    c = project(lambda x: np.ones_like(x), mesh, 1)
-    assert np.max(np.abs(per.apply(c.coeffs))) < 1e-12
-    assert np.max(np.abs(zero.apply(c.coeffs))) > 1e-3
-    with pytest.raises(ValueError):
-        assemble_ldg_1d(mesh, 1, bc="reflecting")

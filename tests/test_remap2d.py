@@ -8,7 +8,6 @@ from sldg.core import Basis, Mesh2D, gauss_rule, mass_vector, project, total_mas
 from sldg.remap1d import GeometryError
 from sldg.remap2d import (
     OverlapRegion,
-    _check_simple,
     _make_region,
     build_upstream_2d,
     clip_upstream,
@@ -16,7 +15,7 @@ from sldg.remap2d import (
     region_area,
     remap_term1_2d,
 )
-from sldg.remap2d_matrix import assemble_remap_2d
+from sldg.remap2d_matrix import assemble_remap_2d, check_upstream_quads
 from sldg.verify import shoelace, sutherland_hodgman
 
 
@@ -98,7 +97,7 @@ def _manual_region(mesh, ix, iy, poly):
                               np.array([a[1], b[1] - a[1], 0.0])]))
     return OverlapRegion(
         mesh.cell_index(np.array(ix), np.array(iy)), ix, iy, np.array(segs),
-        (0.0, 0.0), mesh.x_a + ix * mesh.dx,
+        mesh.x_a + ix * mesh.dx,
     )
 
 
@@ -285,10 +284,35 @@ def test_bbox_span_guard():
         clip_upstream(up, mesh)
 
 
+def _quads_with(bad):
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    return np.stack([unit, unit + 1.0, bad, unit - 1.0])
+
+
+def test_guard_accepts_simple_quads():
+    check_upstream_quads(_quads_with(np.array([[0.0, 0.0], [2.0, 0.2], [1.5, 1.0], [0.1, 0.8]])))
+
+
 def test_self_intersection_guard():
+    # symmetric bowtie: zero signed area
     bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(GeometryError):
-        _check_simple(bowtie, 0)
+    with pytest.raises(GeometryError, match="cell 2"):
+        check_upstream_quads(_quads_with(bowtie))
+    # lopsided bowtie: positive signed area, caught by the crossing test alone
+    lopsided = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    x, y = lopsided[:, 0], lopsided[:, 1]
+    assert np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)) > 0.0
+    with pytest.raises(GeometryError, match="cell 2 is self-intersecting"):
+        check_upstream_quads(_quads_with(lopsided))
+
+
+def test_flipped_quad_guard():
+    flipped = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(GeometryError, match="cell 2 is degenerate or flipped"):
+        check_upstream_quads(_quads_with(flipped))
+    collapsed = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(GeometryError, match="cell 2 is degenerate or flipped"):
+        check_upstream_quads(_quads_with(collapsed))
 
 
 def test_closure_guard():
@@ -302,7 +326,7 @@ def test_closure_guard():
         ]
     )
     with pytest.raises(GeometryError):
-        _make_region(open_path, 0, 0, mesh, (0.0, 0.0))
+        _make_region(open_path, 0, 0, mesh)
 
 
 def test_regions_sorted_and_wrapped():
