@@ -54,17 +54,17 @@ class Problem:
     exact: Callable | None = None
     T: float = 1.0
 
+    @property
+    def bounds(self) -> tuple[tuple[float, float], ...]:
+        """(lo, hi) of every axis."""
+        return tuple(zip(self.domain[::2], self.domain[1::2]))
+
     def mesh(self, n: int):
-        if self.ndim == 1:
-            return Mesh1D(self.domain[0], self.domain[1], n)
-        x0, x1, y0, y1 = self.domain
-        return Mesh2D(x0, x1, y0, y1, n, n)
+        return (Mesh1D, Mesh2D)[self.ndim - 1](*self.domain, *(n,) * self.ndim)
 
     @property
     def volume(self) -> float:
-        if self.ndim == 1:
-            return self.domain[1] - self.domain[0]
-        return (self.domain[1] - self.domain[0]) * (self.domain[3] - self.domain[2])
+        return math.prod(hi - lo for lo, hi in self.bounds)
 
 
 def _cosine_bell(r0: float, cx: float, cy: float) -> Callable:
@@ -176,37 +176,22 @@ def pde_residual(problem: Problem, npoints: int = 100, h: float = 1e-4,
         raise ValueError(f"problem {problem.name} has no exact solution")
     rng = np.random.default_rng(seed)
     tpts = rng.uniform(0.05, max(problem.T, 0.1), npoints)
-    if problem.ndim == 1:
-        x0, x1 = problem.domain
-        xs = rng.uniform(x0 + 0.1, x1 - 0.1, npoints)
-        u = problem.exact
-        a = problem.velocity
-        ut = (u(xs, tpts + h) - u(xs, tpts - h)) / (2 * h)
-        flux = lambda xx, tt: a(xx, tt) * u(xx, tt)
-        conv = (flux(xs + h, tpts) - flux(xs - h, tpts)) / (2 * h)
-        diff = (u(xs + h, tpts) - 2 * u(xs, tpts) + u(xs - h, tpts)) / h**2
-        gsrc = problem.g(xs, tpts) if problem.g is not None else 0.0
-        return float(np.max(np.abs(ut + conv - problem.eps * diff - gsrc)))
-    x0, x1, y0, y1 = problem.domain
-    xs = rng.uniform(x0 + 0.1, x1 - 0.1, npoints)
-    ys = rng.uniform(y0 + 0.1, y1 - 0.1, npoints)
-    u = problem.exact
+    pts = [rng.uniform(lo + 0.1, hi - 0.1, npoints) for lo, hi in problem.bounds]
 
-    def ax(xx, yy, tt):
-        return problem.velocity(xx, yy, tt)[0]
+    def u(x):
+        return problem.exact(*x, tpts)
 
-    def by(xx, yy, tt):
-        return problem.velocity(xx, yy, tt)[1]
+    def flux(x, axis):
+        return np.reshape(problem.velocity(*x, tpts), (problem.ndim, -1))[axis] * u(x)
 
-    ut = (u(xs, ys, tpts + h) - u(xs, ys, tpts - h)) / (2 * h)
-    fx = lambda xx: ax(xx, ys, tpts) * u(xx, ys, tpts)
-    fy = lambda yy: by(xs, yy, tpts) * u(xs, yy, tpts)
-    conv = (fx(xs + h) - fx(xs - h)) / (2 * h) + (fy(ys + h) - fy(ys - h)) / (2 * h)
-    lap = (
-        (u(xs + h, ys, tpts) - 2 * u(xs, ys, tpts) + u(xs - h, ys, tpts)) / h**2
-        + (u(xs, ys + h, tpts) - 2 * u(xs, ys, tpts) + u(xs, ys - h, tpts)) / h**2
-    )
-    gsrc = problem.g(xs, ys, tpts) if problem.g is not None else 0.0
+    ut = (problem.exact(*pts, tpts + h) - problem.exact(*pts, tpts - h)) / (2 * h)
+    conv = lap = 0.0
+    for axis in range(problem.ndim):
+        fwd = [p + h if a == axis else p for a, p in enumerate(pts)]
+        bwd = [p - h if a == axis else p for a, p in enumerate(pts)]
+        conv = conv + (flux(fwd, axis) - flux(bwd, axis)) / (2 * h)
+        lap = lap + (u(fwd) - 2 * u(pts) + u(bwd)) / h**2
+    gsrc = problem.g(*pts, tpts) if problem.g is not None else 0.0
     return float(np.max(np.abs(ut + conv - problem.eps * lap - gsrc)))
 
 

@@ -8,7 +8,9 @@ sides, which is what makes the composed operator dissipative.  Because the
 mass matrix is diagonal, the auxiliary fields are eliminated cell-locally and
 the result is one sparse matrix mapping solution coefficients to the
 coefficients of the DG second derivative: a three-cell stencil in 1D and a
-plus-shaped five-cell stencil in 2D.
+plus-shaped five-cell stencil in 2D.  On the uniform periodic mesh every
+sweep is block-circulant, so the discrete Fourier transform over the cells
+block-diagonalizes the operator into one d x d block per wavenumber (``symbol``).
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ class LDGOperator:
     ``grads`` and ``divs`` hold the one-sided first-derivative sweeps whose
     composition is the operator; ``apply`` runs them sequentially, which
     keeps constants in the nullspace to rounding (the pre-multiplied matrix
-    ``op`` trades that exactness for a single product usable by direct
-    solvers and sparsity inspection).
+    ``op`` trades that exactness for a single product usable for sparsity
+    inspection).  ``symbol`` gives the same operator in Fourier space.
     """
 
     mesh: Mesh1D | Mesh2D
@@ -68,6 +70,18 @@ class LDGOperator:
         for G, Dv in zip(self.grads, self.divs):
             out += Dv @ (G @ x)
         return out
+
+    def symbol(self) -> np.ndarray:
+        """The operator's d x d block at every ``rfftn`` wavenumber of the cell grid.
+
+        Coefficients reshaped to ``(*mesh.shape[::-1], d)`` (cells are
+        numbered with the first axis fastest) and transformed by ``rfftn``
+        over the cell axes are mapped by the operator to ``symbol() @`` their
+        transform.  The result is complex, of shape ``(*rfft cell shape, d, d)``.
+        """
+        return sum(_sweep_symbol(self.mesh, self.k, axis, q_side)
+                   @ _sweep_symbol(self.mesh, self.k, axis, u_side)
+                   for axis, u_side, q_side in _axis_sides(self.mesh, self.flux))
 
 
 def _shift_matrix(n: int, offset: int) -> sp.csr_matrix:
@@ -122,18 +136,36 @@ def _sweep_matrix(mesh, k: int, axis: int, side: str) -> sp.csr_matrix:
     return ((sp.kron(eye, own) + sp.kron(shift, nb)) / mesh.widths[axis]).tocsr()
 
 
-def _flux_sides(orientation: str) -> tuple[str, str]:
-    if orientation == "uminus_qplus":
-        return "minus", "plus"
-    return "plus", "minus"
+def _sweep_symbol(mesh, k: int, axis: int, side: str) -> np.ndarray:
+    """Fourier blocks of ``_sweep_matrix``, shaped to broadcast over the rfftn grid.
+
+    A shift by ``off`` cells multiplies wavenumber m by exp(2 pi i m off / n).
+    Mesh axis a is array axis ndim - 1 - a of the reshaped coefficients, and
+    ``rfftn`` halves the last array axis, which is mesh axis 0.
+    """
+    own, nb, off = _first_derivative_blocks(k, mesh.ndim, axis, side)
+    minv = 1.0 / Basis(k, mesh.ndim).mass_diag()
+    n = mesh.shape[axis]
+    m = np.arange(n // 2 + 1 if axis == 0 else n)
+    phase = np.exp(2j * np.pi * m * off / n)[:, None, None]
+    blocks = minv[:, None] * (own + phase * nb) / mesh.widths[axis]
+    return blocks.reshape((m.size,) + (1,) * axis + own.shape)
+
+
+def _axis_sides(mesh, flux: FluxChoice):
+    """(axis, solution-trace side, gradient-trace side) of every mesh axis."""
+    for axis, orientation in zip(range(mesh.ndim), (flux.x, flux.y)):
+        if orientation == "uminus_qplus":
+            yield axis, "minus", "plus"
+        else:
+            yield axis, "plus", "minus"
 
 
 def _assemble(mesh, k: int, flux: FluxChoice | None) -> LDGOperator:
     """Gradient and divergence sweeps along every axis, composed into one operator."""
     flux = flux or FluxChoice()
     grads, divs = [], []
-    for axis, orientation in zip(range(mesh.ndim), (flux.x, flux.y)):
-        u_side, q_side = _flux_sides(orientation)
+    for axis, u_side, q_side in _axis_sides(mesh, flux):
         grads.append(_sweep_matrix(mesh, k, axis, u_side))
         divs.append(_sweep_matrix(mesh, k, axis, q_side))
     op = divs[0] @ grads[0]

@@ -8,8 +8,13 @@ the tableaus are stiffly accurate, the final stage is the step solution.
 
 Upstream geometries (one sparse remap operator per ordered pair of stage
 times) are cached and, for velocity fields without explicit time dependence,
-reused across steps; the implicit matrix is assembled once per distinct
-diagonal coefficient.
+reused across steps.  The stage systems ``(I - gamma D) x = b`` are solved
+either by unpreconditioned GMRES on the factored LDG sweeps or, with the
+``direct`` solver, exactly: on the uniform periodic mesh ``I - gamma D`` is
+block-circulant, so ``rfftn`` over the cells splits it into one d x d block
+per wavenumber.  The block inverses are computed on the first direct solve
+for each distinct diagonal coefficient and cached; a solve is then a forward
+transform, a batched block product and an inverse transform.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .characteristics import VelocityField
@@ -104,7 +108,13 @@ def tableau(name: str) -> ButcherTableau:
 
 @dataclass(frozen=True)
 class LinearSolverConfig:
-    """Stage-system solver selection: GMRES (with threshold) or sparse LU."""
+    """Stage-system solver selection.
+
+    ``gmres`` is unpreconditioned restarted GMRES with relative threshold
+    ``tol`` (the paper's solver); ``direct`` is the exact block-diagonal
+    Fourier solve of the periodic system.  Both must meet ``tol`` on the
+    residual, and ``restart``/``maxiter`` apply to GMRES only.
+    """
 
     method: str = "gmres"
     tol: float = 1e-12
@@ -132,11 +142,24 @@ def cfl_to_dt(cfl: float, mesh, v: VelocityField) -> float:
     return cfl / denom
 
 
+def _first_bad_block(system: np.ndarray) -> tuple[int, ...] | None:
+    """Wavenumber, in mesh axis order, of the first block without a finite inverse."""
+    for idx in np.ndindex(system.shape[:-2]):
+        try:
+            with np.errstate(all="ignore"):
+                if not np.isfinite(np.linalg.inv(system[idx])).all():
+                    return idx[::-1]
+        except np.linalg.LinAlgError:
+            return idx[::-1]
+    return None
+
+
 class Stepper:
     """Advances one convection-diffusion problem on a fixed mesh.
 
     Holds the assembled diffusion operator, the per-geometry remap matrices
-    and the factorized/cached implicit systems.  Meshes are periodic.
+    and, for the direct solver, the Fourier block inverses of the implicit
+    systems.  Meshes are periodic and ``eps`` must be nonnegative.
     ``source_mass`` is the mass the source term has added since ``run``
     last started (or since construction, for bare ``step`` calls), as the
     tableau's weights integrate it; a step that raises adds nothing.  The
@@ -154,6 +177,8 @@ class Stepper:
         self.ndim = mesh.ndim
         self.velocity = velocity
         self.eps = float(eps)
+        if not self.eps >= 0.0:
+            raise ValueError(f"diffusion coefficient must be nonnegative, got {eps!r}")
         self.source = source
         self.tableau = tableau(tab) if isinstance(tab, str) else tab
         self.tableau.validate()
@@ -201,7 +226,7 @@ class Stepper:
             return rhs / self.mass
         b = rhs / self.mass
         if self.solver.method == "direct":
-            x = self._system_lu(gamma).solve(b)
+            x = self._fourier_solve(gamma, b)
         else:
             x = self._gmres(gamma, b)
         resid = np.linalg.norm(self.mass * self._apply_system(gamma, x) - rhs)
@@ -217,15 +242,31 @@ class Stepper:
         self.last_residual = float(resid)
         return x
 
-    def _system_lu(self, gamma: float):
+    def _fourier_solve(self, gamma: float, b: np.ndarray) -> np.ndarray:
+        """Exact (I - gamma D)^-1 b, one d x d block per rfftn wavenumber."""
+        inv = self._system_inverse(gamma)
+        shape = self.mesh.shape[::-1]
+        axes = tuple(range(self.ndim))
+        bh = np.fft.rfftn(b.reshape(shape + (-1,)), axes=axes)
+        xh = (inv @ bh[..., None])[..., 0]
+        return np.fft.irfftn(xh, s=shape, axes=axes).ravel()
+
+    def _system_inverse(self, gamma: float) -> np.ndarray:
         key = round(gamma, 15)
-        lu = self._system_cache.get(key)
-        if lu is None:
-            n = self.mass.size
-            mat = (sp.identity(n, format="csc") - gamma * self.ldg.op).tocsc()
-            lu = spla.splu(mat)
-            self._system_cache[key] = lu
-        return lu
+        inv = self._system_cache.get(key)
+        if inv is None:
+            symbol = self.ldg.symbol()
+            with np.errstate(all="ignore"):
+                system = np.eye(symbol.shape[-1]) - gamma * symbol
+                try:
+                    inv = np.linalg.inv(system)
+                except np.linalg.LinAlgError:
+                    inv = None
+            if inv is None or not np.isfinite(inv).all():
+                raise SolverError(f"I - gamma*D is not invertible at gamma={gamma!r}: first "
+                                  f"bad block at wavenumber {_first_bad_block(system)}")
+            self._system_cache[key] = inv
+        return inv
 
     def _gmres(self, gamma: float, b: np.ndarray, tighten: float = 1.0, x0=None) -> np.ndarray:
         op = spla.LinearOperator(

@@ -25,7 +25,9 @@ from sldg.characteristics import constant_1d
 from sldg.timeint import LinearSolverConfig, Stepper, cfl_to_dt
 from sldg import verify as verify_mod
 
-# convergence studies use the exact factorization (the paper's GMRES with a
+pytestmark = pytest.mark.slow
+
+# convergence studies use the exact Fourier solve (the paper's GMRES with a
 # tight threshold converges to the same solutions); criterion 7 exercises
 # the GMRES thresholds explicitly
 DIRECT = LinearSolverConfig("direct")

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from sldg.characteristics import constant_1d, rigid_rotation, sine_1d, zero_field
-from sldg.core import Mesh1D, Mesh2D, mass_vector, project, total_mass
+from sldg.characteristics import constant_1d, constant_2d, rigid_rotation, sine_1d, zero_field
+from sldg.core import DGField, Mesh1D, Mesh2D, mass_vector, project, total_mass
+from sldg.ldg import FluxChoice
 from sldg.remap1d import assemble_remap_1d
 from sldg.timeint import (
     ButcherTableau,
@@ -254,3 +257,69 @@ def test_source_mass_budget(ndim, method):
     uT2 = st.run(u0, T, cfl_to_dt(1.0, mesh, v))
     assert st.source_mass == pytest.approx(budget, rel=1e-12)
     assert abs(total_mass(uT2) - total_mass(u0) - st.source_mass) < 1e-10
+
+
+def test_stepper_rejects_negative_diffusion():
+    mesh = Mesh1D(0.0, 2 * np.pi, 8)
+    for eps in (-1e-3, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Stepper(mesh, 1, constant_1d(1.0), eps=eps)
+
+
+# odd and even cell counts; 7x6 and 6x5 put the rfft Nyquist column on
+# either axis of the transform
+_PERIODIC_MESHES = [
+    Mesh1D(0.0, 2 * np.pi, 7),
+    Mesh1D(0.0, 2 * np.pi, 8),
+    Mesh2D(0.0, 2 * np.pi, 0.0, 2 * np.pi, 7, 6),
+    Mesh2D(0.0, 2 * np.pi, 0.0, 2 * np.pi, 6, 5),
+]
+
+
+def _direct_stepper(mesh, k, orientation="uminus_qplus"):
+    v = constant_1d(1.0) if mesh.ndim == 1 else constant_2d(1.0, 0.5)
+    return Stepper(mesh, k, v, eps=1.0, solver=LinearSolverConfig("direct"),
+                   flux=FluxChoice(orientation, orientation))
+
+
+@pytest.mark.parametrize("mesh", _PERIODIC_MESHES, ids=lambda m: "x".join(map(str, m.shape)))
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("orientation", ["uminus_qplus", "uplus_qminus"])
+def test_direct_solve_matches_splu(mesh, k, orientation):
+    # sparse LU of the assembled I - gamma D is the reference; the Fourier
+    # solve must also be backward stable for that matrix, to a few ulps
+    st = _direct_stepper(mesh, k, orientation)
+    n = st.mass.size
+    rng = np.random.default_rng(k)
+    for gamma in (1e-3, 0.3, 10.0):
+        b = rng.standard_normal(n)
+        A = (sp.identity(n, format="csc") - gamma * st.ldg.op).tocsc()
+        ref = spla.splu(A).solve(b)
+        x = st.solve_stage(gamma, st.mass * b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        scale = spla.norm(A, np.inf) * np.abs(x).max() + np.abs(b).max()
+        assert np.abs(A @ x - b).max() <= 2e-15 * scale
+    assert set(st._system_cache) == {1e-3, 0.3, 10.0}
+
+
+@pytest.mark.parametrize("mesh", _PERIODIC_MESHES, ids=lambda m: "x".join(map(str, m.shape)))
+def test_direct_solve_preserves_mass(mesh):
+    st = _direct_stepper(mesh, 2)
+    rng = np.random.default_rng(4)
+    for gamma in (1e-3, 0.3, 10.0):
+        b = 1.0 + rng.standard_normal(st.mass.size)
+        x = st.solve_stage(gamma, st.mass * b)
+        m_b = total_mass(DGField(mesh, 2, b))
+        assert abs(total_mass(DGField(mesh, 2, x)) - m_b) <= 1e-14 * abs(m_b)
+
+
+def test_direct_solve_names_singular_block():
+    # k = 0 on four unit cells: the symbol at the Nyquist wavenumber m = 2 is
+    # exactly -4, so gamma = -1/4 makes that block of I - gamma D singular
+    st = _direct_stepper(Mesh1D(0.0, 4.0, 4), 0)
+    assert st.ldg.symbol()[2, 0, 0] == -4.0
+    with pytest.raises(SolverError, match=r"gamma=-0.25.*wavenumber \(2,\)"):
+        st.solve_stage(-0.25, np.ones(4))
+    with pytest.raises(SolverError, match=r"gamma=nan.*wavenumber \(0,\)"):
+        st.solve_stage(float("nan"), np.ones(4))
+    assert not st._system_cache
