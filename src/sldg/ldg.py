@@ -16,6 +16,7 @@ block-diagonalizes the operator into one d x d block per wavenumber (``symbol``)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,15 +53,19 @@ class LDGOperator:
     composition is the operator; ``apply`` runs them sequentially, which
     keeps constants in the nullspace to rounding (the pre-multiplied matrix
     ``op`` trades that exactness for a single product usable for sparsity
-    inspection).  ``symbol`` gives the same operator in Fourier space.
+    inspection; it is built on first access).  ``symbol`` gives the same
+    operator in Fourier space.
     """
 
     mesh: Mesh1D | Mesh2D
     k: int
     flux: FluxChoice
-    op: sp.csr_matrix
     grads: tuple[sp.csr_matrix, ...]
     divs: tuple[sp.csr_matrix, ...]
+
+    @cached_property
+    def op(self) -> sp.csr_matrix:
+        return sum(Dv @ G for G, Dv in zip(self.grads, self.divs)).tocsr()
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         return self.apply_flat(coeffs.ravel()).reshape(coeffs.shape)
@@ -168,10 +173,7 @@ def _assemble(mesh, k: int, flux: FluxChoice | None) -> LDGOperator:
     for axis, u_side, q_side in _axis_sides(mesh, flux):
         grads.append(_sweep_matrix(mesh, k, axis, u_side))
         divs.append(_sweep_matrix(mesh, k, axis, q_side))
-    op = divs[0] @ grads[0]
-    for G, Dv in zip(grads[1:], divs[1:]):
-        op = op + Dv @ G
-    return LDGOperator(mesh, k, flux, op.tocsr(), tuple(grads), tuple(divs))
+    return LDGOperator(mesh, k, flux, tuple(grads), tuple(divs))
 
 
 def assemble_ldg_1d(mesh: Mesh1D, k: int, flux: FluxChoice | None = None) -> LDGOperator:

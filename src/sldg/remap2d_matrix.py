@@ -22,11 +22,13 @@ Exactness of all quadrature makes the operator reproduce the mass matrix
 for zero velocity and the projection of the translated field for constant
 velocity, to rounding.
 
-The module also holds the geometry the per-cell reference path in
-``remap2d`` shares: the traced and snapped cell points, the upstream-quad
-guard, the least-squares test fits and the quadratic edge kernels.  Edges
-are quadratic parametrizations (x(s), y(s)) for s in [0, 1]; straight
-segments are the degenerate case with vanishing quadratic part.
+The module also holds the geometry the clipping oracle in ``verify``
+takes from it: the traced and snapped cell points, the least-squares test
+fits and the quadratic edge curves.  Edges are quadratic parametrizations
+(x(s), y(s)) for s in [0, 1]; straight segments are the degenerate case
+with vanishing quadratic part.  Upstream cells are rejected when their
+corner quadrilateral is flipped or self-crossing, or when their curved
+area is not positive.
 """
 
 from __future__ import annotations
@@ -248,6 +250,19 @@ def cell_edges(feet: np.ndarray, mode: str) -> np.ndarray:
     return quadratic_through(corners, mids, nxt)
 
 
+def curved_areas(edges: np.ndarray) -> np.ndarray:
+    """Signed areas, the contour integrals of x dy, of cells bounded by ``edges``.
+
+    ``edges`` has shape (ncells, 4, 2, 3); x dy is cubic in the edge
+    parameter, so two Gauss points per edge integrate it exactly.
+    """
+    nodes, weights = gauss_rule(2)
+    s = nodes + 0.5
+    x = eval_quadratic(edges[:, :, 0, None, :], s)
+    dy = eval_quadratic_deriv(edges[:, :, 1, None, :], s)
+    return np.einsum("q,ceq,ceq->c", weights, x, dy)
+
+
 def fit_tests(feet: np.ndarray, k: int, dx: float, dy: float):
     """Least-squares fits Psi*(foot_q) = Psi(source_q) of every test basis.
 
@@ -271,17 +286,25 @@ def fit_tests(feet: np.ndarray, k: int, dx: float, dy: float):
 
 
 def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
-                      v: VelocityField, mode: str = "quad",
-                      substeps: int | None = None) -> sp.csr_matrix:
-    """Sparse 2D remap operator over global coefficients: load = R @ u."""
+                      v: VelocityField, mode: str = "quad") -> sp.csr_matrix:
+    """Sparse 2D remap operator over global coefficients: load = R @ u.
+
+    Raises GeometryError naming the first upstream cell whose corner
+    quadrilateral is flipped or self-crossing, or whose curved area is not
+    positive (a QC edge midpoint folded across the cell).
+    """
     if mode not in ("quad", "qc"):
         raise ValueError("mode must be 'quad' or 'qc'")
     d = basis_dim(k, 2)
     basis = Basis(k, 2)
-    feet = traced_cell_points(mesh, t_end, t_start, v, tracked_points(mode, k), substeps)
+    feet = traced_cell_points(mesh, t_end, t_start, v, tracked_points(mode, k))
     centers, cfit = fit_tests(feet, k, mesh.dx, mesh.dy)
 
-    eflat = cell_edges(feet, mode).reshape(-1, 2, 3)
+    edges = cell_edges(feet, mode)
+    folded = np.flatnonzero(curved_areas(edges) <= 0.0)
+    if folded.size:
+        raise GeometryError(f"curved upstream cell {folded[0]} has nonpositive area")
+    eflat = edges.reshape(-1, 2, 3)
     eflat[:, 0, :] /= mesh.dx
     eflat[:, 0, 0] -= mesh.x_a / mesh.dx
     eflat[:, 1, :] /= mesh.dy

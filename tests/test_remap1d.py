@@ -3,13 +3,7 @@ import pytest
 
 from sldg.characteristics import GL_POINTS, VelocityField, constant_1d, sine_1d, zero_field
 from sldg.core import Basis, Mesh1D, gauss_rule, mass_vector, project, total_mass
-from sldg.remap1d import (
-    GeometryError,
-    assemble_remap_1d,
-    build_upstream_1d,
-    remap_term1_1d,
-    split_subintervals,
-)
+from sldg.remap1d import GeometryError, assemble_remap_1d, lagrange_weights, traced_interval_points
 
 
 def project_translate_exact(u, shift):
@@ -40,67 +34,92 @@ def random_field(mesh, k, seed=0, base=np.sin):
     return u
 
 
+def oracle_loads(mesh, u, rc):
+    """Loads from the snapped feet ``rc``: test interpolants by np.polyfit
+    through the Gauss-Lobatto feet, each piece between grid lines
+    integrated by Gauss k + 2."""
+    k = u.k
+    basis = Basis(k, 1)
+    src = basis.eval(np.array(GL_POINTS[k]))
+    nodes, weights = gauss_rule(k + 2)
+    loads = np.zeros((mesh.n, k + 1))
+    for j, r in enumerate(rc):
+        feet = r[1:2] if k == 0 else r
+        fits = [np.polyfit(feet - r[0], src[:, m], k) for m in range(k + 1)]
+        cuts = np.unique(np.concatenate([r[[0, -1]], np.arange(np.ceil(r[0]), r[-1])]))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            q = lo + (hi - lo) * (nodes + 0.5)
+            c = int(np.floor(0.5 * (lo + hi)))
+            uq = basis.eval(q - c - 0.5) @ u.coeffs[c % mesh.n]
+            psi = np.stack([np.polyval(f, q - r[0]) for f in fits], axis=-1)
+            loads[j] += (hi - lo) * mesh.dx * (weights * uq) @ psi
+    return loads
+
+
+def mode0(R, k):
+    """Mode-0 block entries: the lengths of the upstream pieces per (owner, cell)."""
+    return R[:: k + 1, :: k + 1].toarray()
+
+
 def test_zero_velocity_single_subinterval():
     mesh = Mesh1D(0.0, 1.0, 5)
-    up = build_upstream_1d(mesh, 2, 1.0, 0.0, zero_field(1), 2)
-    assert (up.lo, up.hi) == pytest.approx((0.4, 0.6))
-    subs = split_subintervals(up, mesh)
-    assert len(subs) == 1
-    assert subs[0].cell == 2
-    assert (subs[0].lo, subs[0].hi) == pytest.approx((0.4, 0.6))
+    rc = traced_interval_points(mesh, 2, 1.0, 0.0, zero_field(1))
+    assert mesh.x_a + mesh.dx * rc[2, [0, -1]] == pytest.approx((0.4, 0.6))
+    lengths = mode0(assemble_remap_1d(mesh, 2, 1.0, 0.0, zero_field(1)), 2)[2]
+    assert np.flatnonzero(lengths).tolist() == [2]
+    assert lengths[2] == pytest.approx(0.2)
 
 
 def test_zero_velocity_test_function_unchanged():
     mesh = Mesh1D(0.0, 2 * np.pi, 8)
-    up = build_upstream_1d(mesh, 3, 0.7, 0.0, zero_field(1), 2)
-    xs = up.lo + (up.hi - up.lo) * np.array([0.1, 0.5, 0.9])
-    xi = (xs - mesh.x_a) / mesh.dx - 3 - 0.5
-    assert np.max(np.abs(up.test.eval(xs) - Basis(2, 1).eval(xi))) < 1e-12
+    R = assemble_remap_1d(mesh, 2, 0.7, 0.0, zero_field(1))
+    M = np.diag(mass_vector(mesh, 2))
+    assert np.max(np.abs(R.toarray() - M)) < 1e-12 * np.max(M)
+
+
+def _layout(mesh, j, dt, k):
+    lengths = mode0(assemble_remap_1d(mesh, k, dt, 0.0, constant_1d(1.0)), k)[j]
+    cells = np.flatnonzero(np.abs(lengths) > 1e-14)
+    return cells.tolist(), lengths[cells] / mesh.dx
 
 
 def test_half_cell_shift_layout():
     mesh = Mesh1D(0.0, 1.0, 8)
-    dt = 0.5 * mesh.dx
-    up = build_upstream_1d(mesh, 4, dt, 0.0, constant_1d(1.0), 1)
-    subs = split_subintervals(up, mesh)
-    assert [s.cell for s in subs] == [3, 4]
-    lengths = [(s.hi - s.lo) / mesh.dx for s in subs]
+    cells, lengths = _layout(mesh, 4, 0.5 * mesh.dx, 1)
+    assert cells == [3, 4]
     assert lengths == pytest.approx([0.5, 0.5])
 
 
 def test_two_and_half_cell_shift_layout():
     mesh = Mesh1D(0.0, 1.0, 8)
-    dt = 2.5 * mesh.dx
-    up = build_upstream_1d(mesh, 4, dt, 0.0, constant_1d(1.0), 1)
-    subs = split_subintervals(up, mesh)
-    assert [s.cell for s in subs] == [1, 2]
-    lengths = [(s.hi - s.lo) / mesh.dx for s in subs]
+    cells, lengths = _layout(mesh, 4, 2.5 * mesh.dx, 1)
+    assert cells == [1, 2]
     assert lengths == pytest.approx([0.5, 0.5])
 
 
 def test_periodic_wrap_assignment():
     mesh = Mesh1D(0.0, 1.0, 8)
-    up = build_upstream_1d(mesh, 0, 1.5 * mesh.dx, 0.0, constant_1d(1.0), 1)
-    subs = split_subintervals(up, mesh)
-    assert [s.cell for s in subs] == [6, 7]
-    assert subs[0].shift == pytest.approx(-1.0)
+    cells, lengths = _layout(mesh, 0, 1.5 * mesh.dx, 1)
+    assert cells == [6, 7]
+    assert lengths == pytest.approx([0.5, 0.5])
+    rc = traced_interval_points(mesh, 1, 1.5 * mesh.dx, 0.0, constant_1d(1.0))
+    assert rc[0] == pytest.approx([-1.5, -0.5])
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_interpolation_conditions_variable_field(k):
     mesh = Mesh1D(0.0, 2 * np.pi, 12)
-    up = build_upstream_1d(mesh, 5, 0.3, 0.0, sine_1d(), k)
-    got = up.test.eval(up.feet)
-    want = Basis(k, 1).eval(np.array(GL_POINTS[k]))
-    assert np.max(np.abs(got - want)) < 1e-12
+    rc = traced_interval_points(mesh, k, 0.3, 0.0, sine_1d())
+    feet = rc[5, 1:2] if k == 0 else rc[5]
+    assert np.max(np.abs(lagrange_weights(feet, feet) - np.eye(k + 1))) < 1e-12
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_zero_velocity_remap_is_mass_product(k):
     mesh = Mesh1D(0.0, 2 * np.pi, 9)
     u = random_field(mesh, k)
-    up = build_upstream_1d(mesh, 4, 0.8, 0.0, zero_field(1), k)
-    load = remap_term1_1d(u, up)
+    R = assemble_remap_1d(mesh, k, 0.8, 0.0, zero_field(1))
+    load = (R @ u.coeffs.ravel()).reshape(mesh.n, -1)[4]
     expect = Basis(k, 1).mass_diag() * mesh.dx * u.coeffs[4]
     assert np.max(np.abs(load - expect)) < 1e-13
 
@@ -127,25 +146,20 @@ def test_global_mass_conservation(k):
 
 def test_tiling_local_and_global():
     mesh = Mesh1D(0.0, 2 * np.pi, 16)
-    cover = np.zeros(mesh.n)
-    for j in range(mesh.n):
-        up = build_upstream_1d(mesh, j, 0.4, 0.0, sine_1d(), 2)
-        subs = split_subintervals(up, mesh)
-        assert abs(sum(s.hi - s.lo for s in subs) - (up.hi - up.lo)) < 1e-12
-        for s in subs:
-            cover[s.cell] += s.hi - s.lo
-    assert np.max(np.abs(cover - mesh.dx)) < 1e-12
+    rc = traced_interval_points(mesh, 2, 0.4, 0.0, sine_1d())
+    lengths = mode0(assemble_remap_1d(mesh, 2, 0.4, 0.0, sine_1d()), 2)
+    assert np.max(np.abs(lengths.sum(axis=1) - mesh.dx * (rc[:, -1] - rc[:, 0]))) < 1e-12
+    assert np.max(np.abs(lengths.sum(axis=0) - mesh.dx)) < 1e-12
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_matrix_matches_per_cell_ops(k):
+def test_matrix_matches_oracle(k):
     mesh = Mesh1D(0.0, 2 * np.pi, 11)
     u = random_field(mesh, k, seed=5)
     R = assemble_remap_1d(mesh, k, 0.3, 0.0, sine_1d())
     loads = (R @ u.coeffs.ravel()).reshape(mesh.n, -1)
-    for j in (0, 3, 7, 10):
-        up = build_upstream_1d(mesh, j, 0.3, 0.0, sine_1d(), k)
-        assert np.max(np.abs(remap_term1_1d(u, up) - loads[j])) < 1e-13
+    rc = traced_interval_points(mesh, k, 0.3, 0.0, sine_1d())
+    assert np.max(np.abs(oracle_loads(mesh, u, rc) - loads)) < 1e-13
 
 
 def test_backward_pair_supported():
@@ -159,13 +173,13 @@ def test_backward_pair_supported():
 
 def test_non_monotone_feet_rejected():
     mesh = Mesh1D(0.0, 2 * np.pi, 8)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="non-monotone"):
         # one giant RK4 step of a strong field overshoots and folds
-        build_upstream_1d(mesh, 3, 5.0, 0.0, sine_1d(), 2, substeps=1)
+        traced_interval_points(mesh, 2, 5.0, 0.0, sine_1d(), substeps=1)
 
 
 def test_overlong_upstream_rejected():
     mesh = Mesh1D(0.0, 1.0, 8)
     stretch = VelocityField(1, lambda x, t: -(x - 0.5), (1.0,), False, "expanding")
     with pytest.raises(GeometryError):
-        build_upstream_1d(mesh, 3, 2.0, 0.0, stretch, 1)
+        assemble_remap_1d(mesh, 1, 2.0, 0.0, stretch)

@@ -3,20 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from sldg.characteristics import constant_2d, rigid_rotation, swirling, zero_field
+from sldg import remap2d_matrix
+from sldg.characteristics import (
+    CELL_POINTS_9,
+    VelocityField,
+    constant_2d,
+    rigid_rotation,
+    swirling,
+    zero_field,
+)
 from sldg.core import Basis, Mesh2D, gauss_rule, mass_vector, project, total_mass
 from sldg.remap1d import GeometryError
-from sldg.remap2d import (
-    OverlapRegion,
-    _make_region,
-    build_upstream_2d,
-    clip_upstream,
-    green_integral,
-    region_area,
-    remap_term1_2d,
+from sldg.remap2d_matrix import (
+    assemble_remap_2d,
+    cell_edges,
+    check_upstream_quads,
+    curved_areas,
+    fit_tests,
+    traced_cell_points,
+    tracked_points,
 )
-from sldg.remap2d_matrix import assemble_remap_2d, check_upstream_quads
-from sldg.verify import shoelace, sutherland_hodgman
+from sldg.verify import clip_to_rect, clipped_loads, clipped_rows, green_integral
 
 
 def random_field(mesh, k, seed=0):
@@ -26,16 +33,30 @@ def random_field(mesh, k, seed=0):
     return u
 
 
+def overlap_areas(mesh, k, t_end, t_start, v, mode, j):
+    """Areas of cell j's overlaps with every background cell, from the
+    assembler's mode-0 entries and from the clipping oracle."""
+    d = Basis(k, 2).dim
+    R = assemble_remap_2d(mesh, k, t_end, t_start, v, mode)
+    oracle = clipped_rows(mesh, k, t_end, t_start, v, mode, [j])[0, 0, ::d]
+    return R[j * d, ::d].toarray().ravel(), oracle
+
+
+def support(areas, mesh):
+    """Background cells with a nonzero overlap."""
+    return np.flatnonzero(np.abs(areas) > 1e-13 * mesh.dx * mesh.dy)
+
+
 @pytest.mark.parametrize("mode", ["quad", "qc"])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_zero_velocity_identity(mode, k):
     mesh = Mesh2D(0.0, 2 * np.pi, 0.0, 2 * np.pi, 6, 5)
     u = random_field(mesh, k)
-    up = build_upstream_2d(mesh, 13, 0.5, 0.0, zero_field(2), k, mode)
-    regs = clip_upstream(up, mesh)
-    assert len(regs) == 1
-    assert region_area(regs[0]) == pytest.approx(mesh.dx * mesh.dy, rel=1e-13)
-    load = remap_term1_2d(u, up)
+    for areas in overlap_areas(mesh, k, 0.5, 0.0, zero_field(2), mode, 13):
+        assert support(areas, mesh).tolist() == [13]
+        assert areas[13] == pytest.approx(mesh.dx * mesh.dy, rel=1e-13)
+    R = assemble_remap_2d(mesh, k, 0.5, 0.0, zero_field(2), mode)
+    load = (R @ u.coeffs.ravel()).reshape(mesh.ncells, -1)[13]
     expect = Basis(k, 2).mass_diag() * mesh.dx * mesh.dy * u.coeffs[13]
     assert np.max(np.abs(load - expect)) < 1e-13 * max(1.0, np.max(np.abs(expect)))
 
@@ -43,107 +64,112 @@ def test_zero_velocity_identity(mode, k):
 def test_translation_quarter_cells():
     mesh = Mesh2D(0.0, 1.0, 0.0, 1.0, 4, 4)
     v = constant_2d(0.5 * mesh.dx, 0.5 * mesh.dy)
-    up = build_upstream_2d(mesh, 5, 1.0, 0.0, v, 1, "quad")
-    regs = clip_upstream(up, mesh)
-    areas = sorted(region_area(r) / (mesh.dx * mesh.dy) for r in regs)
-    assert areas == pytest.approx([0.25, 0.25, 0.25, 0.25])
+    for areas in overlap_areas(mesh, 1, 1.0, 0.0, v, "quad", 5):
+        got = sorted(areas[support(areas, mesh)] / (mesh.dx * mesh.dy))
+        assert got == pytest.approx([0.25, 0.25, 0.25, 0.25])
 
 
 def test_translation_quarter_dx_only():
     mesh = Mesh2D(0.0, 1.0, 0.0, 1.0, 4, 4)
     v = constant_2d(0.25 * mesh.dx, 0.0)
-    up = build_upstream_2d(mesh, 5, 1.0, 0.0, v, 1, "quad")
-    regs = clip_upstream(up, mesh)
-    areas = sorted(region_area(r) / (mesh.dx * mesh.dy) for r in regs)
-    assert areas == pytest.approx([0.25, 0.75])
+    for areas in overlap_areas(mesh, 1, 1.0, 0.0, v, "quad", 5):
+        got = sorted(areas[support(areas, mesh)] / (mesh.dx * mesh.dy))
+        assert got == pytest.approx([0.25, 0.75])
+
+
+def fitted_tests(mesh, t_end, v, k, mode, j):
+    """Cell j's traced feet and its fitted tests as a function of (x, y)."""
+    feet = traced_cell_points(mesh, t_end, 0.0, v, tracked_points(mode, k))
+    centers, cfit = fit_tests(feet, k, mesh.dx, mesh.dy)
+    basis = Basis(k, 2)
+
+    def psi(x, y):
+        return basis.eval((x - centers[j, 0]) / mesh.dx, (y - centers[j, 1]) / mesh.dy) @ cfit[j].T
+
+    return feet[j], psi
 
 
 def test_constant_velocity_test_function_is_shift():
     mesh = Mesh2D(0.0, 2 * np.pi, 0.0, 2 * np.pi, 8, 8)
     dt = 0.4
-    up = build_upstream_2d(mesh, 20, dt, 0.0, constant_2d(1.0, 1.0), 1, "quad")
+    _, psi = fitted_tests(mesh, dt, constant_2d(1.0, 1.0), 1, "quad", 20)
     basis = Basis(1, 2)
     cx = mesh.x_a + (20 % 8 + 0.5) * mesh.dx
     cy = mesh.y_a + (20 // 8 + 0.5) * mesh.dy
     pts = np.array([[0.0, 0.0], [0.1, -0.2], [-0.3, 0.25]])
     xs = cx + pts[:, 0] - dt
     ys = cy + pts[:, 1] - dt
-    got = up.test.eval(xs, ys)
     want = basis.eval((xs + dt - cx) / mesh.dx, (ys + dt - cy) / mesh.dy)
-    assert np.max(np.abs(got - want)) < 1e-10
+    assert np.max(np.abs(psi(xs, ys) - want)) < 1e-10
 
 
 def test_rotation_least_squares_consistent():
     # an affine flow pulls P2 back to P2, so the 9-point fit is consistent
     mesh = Mesh2D(-2 * np.pi, 2 * np.pi, -2 * np.pi, 2 * np.pi, 8, 8)
-    up = build_upstream_2d(mesh, 27, 0.3, 0.0, rigid_rotation(), 2, "qc")
-    src = np.array([f for f in up.feet])
-    basis = Basis(2, 2)
-    from sldg.characteristics import CELL_POINTS_9
-
-    ix, iy = 27 % 8, 27 // 8
-    cx = mesh.x_a + (ix + 0.5) * mesh.dx
-    cy = mesh.y_a + (iy + 0.5) * mesh.dy
+    feet, psi = fitted_tests(mesh, 0.3, rigid_rotation(), 2, "qc", 27)
     ref = np.array(CELL_POINTS_9)
-    want = basis.eval(ref[:, 0], ref[:, 1])
-    got = up.test.eval(src[:, 0], src[:, 1])
-    assert np.max(np.abs(got - want)) < 1e-10
+    want = Basis(2, 2).eval(ref[:, 0], ref[:, 1])
+    assert np.max(np.abs(psi(feet[:, 0], feet[:, 1]) - want)) < 1e-10
 
 
-def _manual_region(mesh, ix, iy, poly):
-    segs = []
-    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
-        segs.append(np.stack([np.array([a[0], b[0] - a[0], 0.0]),
-                              np.array([a[1], b[1] - a[1], 0.0])]))
-    return OverlapRegion(
-        mesh.cell_index(np.array(ix), np.array(iy)), ix, iy, np.array(segs),
-        mesh.x_a + ix * mesh.dx,
-    )
+def _polygon(poly):
+    poly = np.asarray(poly, float)
+    nxt = np.roll(poly, -1, axis=0)
+    return np.stack([poly, nxt - poly, np.zeros_like(poly)], axis=-1)
 
 
-def test_green_integral_reference_shapes():
-    mesh = Mesh2D(0.0, 2.0, 0.0, 2.0, 2, 2)
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    region = _manual_region(mesh, 0, 0, square)
-    one = lambda x, y: np.ones_like(x)
-    assert green_integral(region, one, 2) == pytest.approx(1.0, rel=1e-13)
+def one(x, y):
+    return np.ones_like(x)
 
-    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    region = _manual_region(mesh, 0, 0, tri)
-    assert green_integral(region, one, 2) == pytest.approx(0.5, rel=1e-13)
 
-    region = _manual_region(mesh, 0, 0, square)
-    assert green_integral(region, lambda x, y: x * y, 2) == pytest.approx(0.25, rel=1e-13)
+def test_oracle_reference_shapes():
+    square = _polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert green_integral(square, one, 0.0, 2) == pytest.approx(1.0, rel=1e-13)
+    assert green_integral(square, lambda x, y: x * y, 0.0, 2) == pytest.approx(0.25, rel=1e-13)
+    tri = _polygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert green_integral(tri, one, 0.0, 2) == pytest.approx(0.5, rel=1e-13)
+    # a square reaching past x = 1 and y = 1 clipped to the unit cell
+    big = _polygon([[-0.5, -0.25], [1.5, -0.25], [1.5, 1.75], [-0.5, 1.75]])
+    clipped = clip_to_rect(big, 0.0, 1.0, 0.0, 1.0)
+    assert green_integral(clipped, lambda x, y: x * y, 0.0, 2) == pytest.approx(0.25, rel=1e-13)
+
+
+@pytest.mark.parametrize("height", [0.4, 1.5])
+def test_oracle_parabolic_segment(height):
+    # the parabola from (0, 0) to (2, 0) with apex height h, closed by the
+    # chord, bounds 2/3 * base * h; the grid line x = 1 halves it, and the
+    # line y = h / 2 cuts off a cap of 2/3 * (base / sqrt 2) * (h / 2)
+    chord = _polygon([[0.0, 0.0], [2.0, 0.0]])[:1]
+    arc = np.array([[[2.0, -2.0, 0.0], [0.0, 4.0 * height, -4.0 * height]]])
+    region = np.concatenate([chord, arc])
+    full = 2.0 / 3.0 * 2.0 * height
+    assert green_integral(region, one, 0.0, 4) == pytest.approx(full, rel=1e-13)
+    left = clip_to_rect(region, 0.0, 1.0, -1.0, 2.0)
+    assert green_integral(left, one, 0.0, 4) == pytest.approx(full / 2, rel=1e-13)
+    cap = clip_to_rect(region, -1.0, 3.0, height / 2, 2.0)
+    want = 2.0 / 3.0 * (2.0 / math.sqrt(2.0)) * (height / 2)
+    assert green_integral(cap, one, -1.0, 4) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("mode", ["quad", "qc"])
 def test_area_consistency_rotation(mode):
     mesh = Mesh2D(-2 * np.pi, 2 * np.pi, -2 * np.pi, 2 * np.pi, 8, 8)
     v = rigid_rotation()
+    feet = traced_cell_points(mesh, 0.25, 0.0, v, tracked_points(mode, 2))
+    signed = curved_areas(cell_edges(feet, mode))
     for j in (9, 27, 44):
-        up = build_upstream_2d(mesh, j, 0.25, 0.0, v, 2, mode)
-        regs = clip_upstream(up, mesh)
-        total = sum(region_area(r) for r in regs)
-        assert abs(total - up.signed_area()) < 1e-11
-        gsum = sum(green_integral(r, lambda x, y: np.ones_like(x), 2) for r in regs)
-        assert abs(gsum - up.signed_area()) < 1e-11
+        for areas in overlap_areas(mesh, 2, 0.25, 0.0, v, mode, j):
+            assert abs(areas.sum() - signed[j]) < 1e-11
 
 
-def test_quad_areas_match_polygon_clipping_oracle():
+def test_quad_areas_match_clipping_oracle():
     mesh = Mesh2D(-2 * np.pi, 2 * np.pi, -2 * np.pi, 2 * np.pi, 8, 8)
     v = rigid_rotation()
     checked = 0
     for j in (9, 27, 44, 61):
-        up = build_upstream_2d(mesh, j, 0.25, 0.0, v, 1, "quad")
-        corners = up.feet[:4]
-        for r in clip_upstream(up, mesh):
-            rect = (
-                mesh.x_a + r.ix * mesh.dx, mesh.x_a + (r.ix + 1) * mesh.dx,
-                mesh.y_a + r.iy * mesh.dy, mesh.y_a + (r.iy + 1) * mesh.dy,
-            )
-            oracle = shoelace(sutherland_hodgman(corners, rect))
-            assert abs(region_area(r) - oracle) < 1e-11
-            checked += 1
+        assembled, oracle = overlap_areas(mesh, 1, 0.25, 0.0, v, "quad", j)
+        assert np.max(np.abs(assembled - oracle)) < 1e-11
+        checked += support(oracle, mesh).size
     assert checked >= 12
 
 
@@ -151,12 +177,12 @@ def test_quad_areas_match_monte_carlo():
     mesh = Mesh2D(-2 * np.pi, 2 * np.pi, -2 * np.pi, 2 * np.pi, 8, 8)
     v = rigid_rotation()
     rng = np.random.default_rng(12)
-    up = build_upstream_2d(mesh, 27, 0.3, 0.0, v, 1, "quad")
-    corners = up.feet[:4]
+    corners = traced_cell_points(mesh, 0.3, 0.0, v, tracked_points("quad", 1))[27, :4]
+    areas, _ = overlap_areas(mesh, 1, 0.3, 0.0, v, "quad", 27)
+    lo = np.floor((corners.min(axis=0) - mesh.lower) / mesh.widths).astype(int)
+    hi = np.ceil((corners.max(axis=0) - mesh.lower) / mesh.widths).astype(int)
 
     def inside(px, py):
-        total = np.zeros(px.shape, dtype=bool)
-        sign = np.ones(px.shape)
         ok = np.ones(px.shape, dtype=bool)
         for a, b in zip(corners, np.roll(corners, -1, axis=0)):
             cross = (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0])
@@ -164,27 +190,27 @@ def test_quad_areas_match_monte_carlo():
         return ok
 
     nsamp = 200_000
-    for r in clip_upstream(up, mesh):
-        x0 = mesh.x_a + r.ix * mesh.dx
-        y0 = mesh.y_a + r.iy * mesh.dy
-        px = x0 + mesh.dx * rng.random(nsamp)
-        py = y0 + mesh.dy * rng.random(nsamp)
-        p = float(np.mean(inside(px, py)))
-        est = p * mesh.dx * mesh.dy
-        sigma = mesh.dx * mesh.dy * math.sqrt(max(p * (1 - p), 1e-9) / nsamp)
-        assert abs(region_area(r) - est) < 3.0 * sigma + 1e-12
+    for iy in range(lo[1], hi[1]):
+        for ix in range(lo[0], hi[0]):
+            x0 = mesh.x_a + ix * mesh.dx
+            y0 = mesh.y_a + iy * mesh.dy
+            px = x0 + mesh.dx * rng.random(nsamp)
+            py = y0 + mesh.dy * rng.random(nsamp)
+            p = float(np.mean(inside(px, py)))
+            est = p * mesh.dx * mesh.dy
+            sigma = mesh.dx * mesh.dy * math.sqrt(max(p * (1 - p), 1e-9) / nsamp)
+            assert abs(areas[mesh.cell_index(ix, iy)] - est) < 3.0 * sigma + 1e-12
 
 
 @pytest.mark.parametrize("mode", ["quad", "qc"])
 def test_mass_tiling_periodic_field(mode):
     mesh = Mesh2D(-np.pi, np.pi, -np.pi, np.pi, 6, 6)
     v = swirling(1.5)
-    cover = np.zeros(mesh.ncells)
-    for j in range(mesh.ncells):
-        up = build_upstream_2d(mesh, j, 0.3, 0.0, v, 2, mode)
-        for r in clip_upstream(up, mesh):
-            cover[r.cell] += region_area(r)
-    assert np.max(np.abs(cover - mesh.dx * mesh.dy)) < 1e-10
+    d = Basis(2, 2).dim
+    R = assemble_remap_2d(mesh, 2, 0.3, 0.0, v, mode)
+    oracle = clipped_rows(mesh, 2, 0.3, 0.0, v, mode, range(mesh.ncells))
+    for cover in (np.asarray(R[::d, ::d].sum(axis=0)).ravel(), oracle[:, 0, ::d].sum(axis=0)):
+        assert np.max(np.abs(cover - mesh.dx * mesh.dy)) < 1e-10
 
 
 @pytest.mark.parametrize("mode", ["quad", "qc"])
@@ -192,10 +218,7 @@ def test_remap_mass_conservation(mode):
     mesh = Mesh2D(-np.pi, np.pi, -np.pi, np.pi, 6, 6)
     v = swirling(1.5)
     u = random_field(mesh, 2, seed=4)
-    total = sum(
-        remap_term1_2d(u, build_upstream_2d(mesh, j, 0.3, 0.0, v, 2, mode))[0]
-        for j in range(mesh.ncells)
-    )
+    total = clipped_loads(mesh, u, 0.3, 0.0, v, mode, range(mesh.ncells))[:, 0].sum()
     assert abs(total - total_mass(u)) < 1e-10
 
 
@@ -249,39 +272,30 @@ def test_translation_exactness_fractional(k):
 
 @pytest.mark.parametrize("mode", ["quad", "qc"])
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_matrix_matches_per_cell_ops(mode, k):
-    if mode == "qc" and k == 0:
-        pytest.skip("qc with k=0 adds nothing beyond quad")
+def test_matrix_matches_clipping_oracle(mode, k):
     mesh = Mesh2D(-np.pi, np.pi, -np.pi, np.pi, 6, 5)
     v = swirling(1.5)
     u = random_field(mesh, k, seed=8)
     R = assemble_remap_2d(mesh, k, 0.3, 0.0, v, mode)
     loads = (R @ u.coeffs.ravel()).reshape(mesh.ncells, -1)
-    for j in (0, 7, 16, 29):
-        up = build_upstream_2d(mesh, j, 0.3, 0.0, v, k, mode)
-        assert np.max(np.abs(remap_term1_2d(u, up) - loads[j])) < 1e-12
+    oracle = clipped_loads(mesh, u, 0.3, 0.0, v, mode, range(mesh.ncells))
+    assert np.max(np.abs(oracle - loads)) < 1e-12
 
 
 def test_large_displacement_covered_cells():
     mesh = Mesh2D(0.0, 1.0, 0.0, 1.0, 8, 8)
     v = constant_2d(2.3 * mesh.dx, 2.3 * mesh.dy)
-    up = build_upstream_2d(mesh, 27, 1.0, 0.0, v, 1, "quad")
-    regs = clip_upstream(up, mesh)
-    assert len(regs) == 4
-    assert sum(region_area(r) for r in regs) == pytest.approx(mesh.dx * mesh.dy, rel=1e-12)
+    for areas in overlap_areas(mesh, 1, 1.0, 0.0, v, "quad", 27):
+        assert support(areas, mesh).size == 4
+        assert areas.sum() == pytest.approx(mesh.dx * mesh.dy, rel=1e-12)
 
 
 def test_bbox_span_guard():
     mesh = Mesh2D(0.0, 1.0, 0.0, 1.0, 4, 4)
-    stretch = constant_2d(0.0, 0.0)
-
     # expanding flow blows the upstream cell past the domain size
-    from sldg.characteristics import VelocityField
-
     grow = VelocityField(2, lambda x, y, t: (-(x - 0.5) * 3.0, -(y - 0.5) * 3.0), (2.0, 2.0))
     with pytest.raises(GeometryError):
-        up = build_upstream_2d(mesh, 5, 1.2, 0.0, grow, 1, "quad")
-        clip_upstream(up, mesh)
+        assemble_remap_2d(mesh, 1, 1.2, 0.0, grow, "quad")
 
 
 def _quads_with(bad):
@@ -315,25 +329,23 @@ def test_flipped_quad_guard():
         check_upstream_quads(_quads_with(collapsed))
 
 
-def test_closure_guard():
-    mesh = Mesh2D(0.0, 2.0, 0.0, 2.0, 2, 2)
-    open_path = np.array(
-        [
-            np.stack([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
-            np.stack([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-            # gap: last segment does not return to the start
-            np.stack([[1.0, -0.5, 0.0], [1.0, 0.0, 0.0]]),
-        ]
-    )
-    with pytest.raises(GeometryError):
-        _make_region(open_path, 0, 0, mesh)
+def test_folded_curved_cell_guard(monkeypatch):
+    # cell 5's bottom-edge midpoint pulled across its top edge: the corner
+    # quadrilateral is unchanged, but the parabola through the folded
+    # midpoint encloses more than the cell, so the curved area is negative
+    mesh = Mesh2D(0.0, 4.0, 0.0, 4.0, 4, 4)
+    feet = traced_cell_points(mesh, 0.5, 0.0, zero_field(2), tracked_points("qc", 1))
+    feet[5, 4, 1] += 2.0 * mesh.dy
+    check_upstream_quads(feet[:, :4])
+    assert curved_areas(cell_edges(feet, "qc"))[5] == pytest.approx(-mesh.dx * mesh.dy / 3)
+    monkeypatch.setattr(remap2d_matrix, "traced_cell_points", lambda *args: feet)
+    with pytest.raises(GeometryError, match="curved upstream cell 5 has nonpositive area"):
+        assemble_remap_2d(mesh, 1, 0.5, 0.0, zero_field(2), "qc")
 
 
-def test_regions_sorted_and_wrapped():
+def test_overlaps_wrap_periodically():
     mesh = Mesh2D(0.0, 1.0, 0.0, 1.0, 4, 4)
     v = constant_2d(1.5 * mesh.dx, 0.0)
-    up = build_upstream_2d(mesh, 0, 1.0, 0.0, v, 1, "quad")
-    regs = clip_upstream(up, mesh)
-    cells = [r.cell for r in regs]
-    assert cells == sorted(cells, key=lambda c: (c // 4, c % 4))
-    assert {r.cell for r in regs} == {2, 3}
+    for areas in overlap_areas(mesh, 1, 1.0, 0.0, v, "quad", 0):
+        assert support(areas, mesh).tolist() == [2, 3]
+        assert areas[[2, 3]] == pytest.approx([0.5 * mesh.dx * mesh.dy] * 2)

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from sldg.characteristics import constant_1d, constant_2d, rigid_rotation, sine_1d, zero_field
 from sldg.core import DGField, Mesh1D, Mesh2D, mass_vector, project, total_mass
-from sldg.ldg import FluxChoice
+from sldg.ldg import FluxChoice, LDGOperator
 from sldg.remap1d import assemble_remap_1d
 from sldg.timeint import (
     ButcherTableau,
@@ -116,6 +116,21 @@ def test_generic_path_matches_hand_coded_dirk2():
     )
     x2 = st.solve_stage(nu * dt * eps, rhs2)
     assert np.max(np.abs(out.coeffs.ravel() - x2)) < 1e-13
+
+
+def test_direct_step_applies_diffusion_once_per_stage(monkeypatch):
+    """Each stage's D x comes from its residual check, and no step builds
+    the pre-multiplied operator."""
+    mesh = Mesh1D(0.0, 2 * np.pi, 16)
+    st = Stepper(mesh, 2, sine_1d(), eps=0.3, source=lambda x, t: np.cos(x) * t,
+                 tab="dirk4", solver=LinearSolverConfig("direct"))
+    calls = []
+    apply_flat = LDGOperator.apply_flat
+    monkeypatch.setattr(LDGOperator, "apply_flat",
+                        lambda self, x: calls.append(x) or apply_flat(self, x))
+    st.step(project(np.sin, mesh, 2), 0.2)
+    assert len(calls) == tableau("dirk4").stages
+    assert "op" not in st.ldg.__dict__
 
 
 def test_solve_stage_zero_eps_is_mass_inverse():
