@@ -16,9 +16,7 @@ mesh rows.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -36,8 +34,6 @@ from .characteristics import (
 from .core import DGField, Mesh1D, Mesh2D, norms, project, total_mass
 from .ldg import FluxChoice
 from .timeint import LinearSolverConfig, Stepper, cfl_to_dt
-
-WORKERS_ENV = "SLDG_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -314,13 +310,6 @@ def _first_cfl(cfg: StudyConfig):
     return cfg.cfl[0] if isinstance(cfg.cfl, tuple) else cfg.cfl
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def run_spatial_study(cfg: StudyConfig) -> StudyResult:
     """Errors and orders over a refined sequence of meshes at fixed CFL."""
     problem = make_problem(cfg.problem, cfg.eps, cfg.T)
@@ -338,12 +327,7 @@ def run_spatial_study(cfg: StudyConfig) -> StudyResult:
         label = f"{n}^2" if problem.ndim == 2 else str(n)
         return ResultRow(label, n, l1, l2, linf, seconds=seconds, mass_defect=defect)
 
-    nworkers = _workers()
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            rows = list(pool.map(one, cfg.meshes))
-    else:
-        rows = [one(n) for n in cfg.meshes]
+    rows = [one(n) for n in cfg.meshes]
     for prev, cur in zip(rows, rows[1:]):
         cur.l1_order = order_between(prev.l1, cur.l1, prev.n, cur.n)
         cur.l2_order = order_between(prev.l2, cur.l2, prev.n, cur.n)

@@ -6,9 +6,6 @@ runs the numerical property suites.  Any flag may also be supplied through a
 plain key=value configuration file (one pair per line, ``#`` comments);
 explicit command-line flags win over the file.  The exit code is nonzero if
 any run fails to converge.
-
-The environment variable SLDG_WORKERS caps the worker threads used for
-independent meshes within one study.
 """
 
 from __future__ import annotations

@@ -5,18 +5,24 @@ whole remap for one (later time, earlier time) pair is a sparse matrix R
 with load = R @ coefficients.  The stepper builds R once per traced geometry
 and reuses it across stages and steps whenever the velocity field allows.
 
+All geometry lives in cell-index coordinates, as in the 1D assembler: the
+traced feet, the test fits, the edge curves and their splitting at grid
+lines.  Only the final contour weights carry the cell area dx dy.
+
 The assembly avoids region chaining altogether by anchoring the Green
 auxiliary function globally per upstream cell: with Q(x, y) the
 x-antiderivative of the integrand started at a grid line left of the whole
 upstream cell, horizontal boundary pieces contribute nothing (dy = 0) and
 all vertical grid lines become interior to Q's definition, so only the
 upstream boundary pieces themselves carry contour contributions.  Q at a
-point inside background column ix splits into full-column integrals S over
-the columns between the anchor and ix (polynomials in y) plus the partial
-integral inside column ix; both are evaluated by Gauss rules that are exact
-for the polynomial integrands.  Any per-owner anchor gives the same loads
-because two anchors change Q by a function of y only, whose contour
-integral over the closed upstream boundary vanishes.
+point inside background column ix is a sum over the columns from the anchor
+to ix: full-column integrals (polynomials in y) for the columns left of ix
+and the partial integral inside ix.  So every boundary piece pairs with
+each of those columns, and one loop over the (piece, column) pairs
+integrates them all by Gauss rules that are exact for the polynomial
+integrands.  Any per-owner anchor gives the same loads because two anchors
+change Q by a function of y only, whose contour integral over the closed
+upstream boundary vanishes.
 
 Exactness of all quadrature makes the operator reproduce the mass matrix
 for zero velocity and the projection of the translated field for constant
@@ -45,11 +51,11 @@ from .characteristics import (
     substeps_for,
     trace_back,
 )
-from .core import Basis, Mesh2D, basis_dim, gauss_rule
+from .core import Basis, Mesh2D, gauss_rule
 from .remap1d import GeometryError
 
 ROOT_EDGE_TOL = 1e-11  # crossings this close to an edge endpoint are dropped
-_CHUNK = 40_000
+_CHUNK = 8_000  # (piece, column) pairs per batch; bounds the assembly's peak memory
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +196,26 @@ def tracked_points(mode: str, k: int) -> tuple:
 
 def traced_cell_points(mesh: Mesh2D, t_end: float, t_start: float, v: VelocityField,
                        ref: tuple, substeps: int | None = None) -> np.ndarray:
-    """Feet of every cell's reference points ``ref``, shape (ncells, npts, 2).
+    """Snapped index coordinates of every cell's traced points ``ref``, (ncells, npts, 2).
 
     The points are traced once on the cell lattice and gathered per cell, so
     neighbouring cells see bitwise identical shared feet.  Each cell's feet
-    are then shifted by whole periods so that the midpoint of its corners'
-    bounding box lies in the primary domain, snapped onto grid lines within
-    SNAP_TOL, and its corner quadrilateral is checked.
+    are then shifted by whole multiples of the cell counts so that the
+    midpoint of its corners' bounding box lies in [0, nx) x [0, ny),
+    snapped onto grid lines within SNAP_TOL, and its corner quadrilateral
+    is checked.
     """
     if substeps is None:
         substeps = substeps_for(mesh, v, t_end, t_start)
     points, index = cell_lattice(mesh, ref)
-    feet = np.stack([f[index] for f in trace_back(points, t_end, t_start, v, substeps)], axis=-1)
-    for a, (lo, w, period) in enumerate(zip(mesh.lower, mesh.widths, mesh.lengths)):
-        corners = feet[:, :4, a]
-        mid = 0.5 * (corners.min(axis=1) + corners.max(axis=1))
-        f = feet[:, :, a] - np.floor((mid - lo) / period)[:, None] * period
-        feet[:, :, a] = lo + snap_index((f - lo) / w) * w
-    check_upstream_quads(feet[:, :4])
-    return feet
+    traced = trace_back(points, t_end, t_start, v, substeps)
+    r = np.stack([(f[index] - lo) / w for f, lo, w in zip(traced, mesh.lower, mesh.widths)],
+                 axis=-1)
+    n = np.array(mesh.shape)
+    mid = 0.5 * (r[:, :4].min(axis=1) + r[:, :4].max(axis=1))
+    r = snap_index(r - (np.floor(mid / n) * n)[:, None, :])
+    check_upstream_quads(r[:, :4])
+    return r
 
 
 def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -253,8 +260,9 @@ def cell_edges(feet: np.ndarray, mode: str) -> np.ndarray:
 def curved_areas(edges: np.ndarray) -> np.ndarray:
     """Signed areas, the contour integrals of x dy, of cells bounded by ``edges``.
 
-    ``edges`` has shape (ncells, 4, 2, 3); x dy is cubic in the edge
-    parameter, so two Gauss points per edge integrate it exactly.
+    ``edges`` has shape (ncells, 4, 2, 3); in index coordinates the areas
+    are in cell units.  x dy is cubic in the edge parameter, so two Gauss
+    points per edge integrate it exactly.
     """
     nodes, weights = gauss_rule(2)
     s = nodes + 0.5
@@ -263,22 +271,19 @@ def curved_areas(edges: np.ndarray) -> np.ndarray:
     return np.einsum("q,ceq,ceq->c", weights, x, dy)
 
 
-def fit_tests(feet: np.ndarray, k: int, dx: float, dy: float):
+def fit_tests(feet: np.ndarray, k: int):
     """Least-squares fits Psi*(foot_q) = Psi(source_q) of every test basis.
 
-    ``feet`` has shape (ncells, npts, 2).  Returns the fit-frame centers (the
-    feet centroids, (ncells, 2)) and coefficients (ncells, m, d): test m's
-    reconstruction in the basis centered there and scaled by the cell widths.
+    ``feet`` has shape (ncells, npts, 2), in index coordinates.  Returns the
+    fit-frame centers (the feet centroids, (ncells, 2)) and coefficients
+    (ncells, m, d): test m's reconstruction in the basis centered there.
     """
     basis = Basis(k, 2)
-    npts = feet.shape[1]
-    src = np.array(CELL_POINTS_9[:npts])
+    src = np.array(CELL_POINTS_9[: feet.shape[1]])
     B = basis.eval(src[:, 0], src[:, 1])                     # (npts, m)
     centers = feet.mean(axis=1)                              # (C, 2)
-    A = basis.eval(
-        (feet[:, :, 0] - centers[:, None, 0]) / dx,
-        (feet[:, :, 1] - centers[:, None, 1]) / dy,
-    )                                                        # (C, npts, d)
+    rel = feet - centers[:, None, :]
+    A = basis.eval(rel[..., 0], rel[..., 1])                 # (C, npts, d)
     G = np.einsum("cqd,cqe->cde", A, A)
     rhs = np.einsum("cqd,qm->cdm", A, B)
     sol = np.linalg.solve(G, rhs)                            # (C, d, m)
@@ -295,125 +300,62 @@ def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
     """
     if mode not in ("quad", "qc"):
         raise ValueError("mode must be 'quad' or 'qc'")
-    d = basis_dim(k, 2)
     basis = Basis(k, 2)
+    d = basis.dim
     feet = traced_cell_points(mesh, t_end, t_start, v, tracked_points(mode, k))
-    centers, cfit = fit_tests(feet, k, mesh.dx, mesh.dy)
+    centers, cfit = fit_tests(feet, k)
 
     edges = cell_edges(feet, mode)
     folded = np.flatnonzero(curved_areas(edges) <= 0.0)
     if folded.size:
         raise GeometryError(f"curved upstream cell {folded[0]} has nonpositive area")
-    eflat = edges.reshape(-1, 2, 3)
-    eflat[:, 0, :] /= mesh.dx
-    eflat[:, 0, 0] -= mesh.x_a / mesh.dx
-    eflat[:, 1, :] /= mesh.dy
-    eflat[:, 1, 0] -= mesh.y_a / mesh.dy
-    edge_owner = np.repeat(np.arange(mesh.ncells), 4)
-
-    rx_lo, rx_hi = quadratic_range(eflat[:, 0, :])
-    ry_lo, ry_hi = quadratic_range(eflat[:, 1, :])
-    span_x = rx_hi.reshape(-1, 4).max(axis=1) - rx_lo.reshape(-1, 4).min(axis=1)
-    span_y = ry_hi.reshape(-1, 4).max(axis=1) - ry_lo.reshape(-1, 4).min(axis=1)
-    if span_x.max() >= min(mesh.nx, mesh.ny) or span_y.max() >= min(mesh.nx, mesh.ny):
+    edges = edges.reshape(-1, 2, 3)
+    lo, hi = quadratic_range(edges)                                         # (E, 2)
+    lo, hi = lo.reshape(-1, 4, 2).min(axis=1), hi.reshape(-1, 4, 2).max(axis=1)
+    if np.max(hi - lo) >= min(mesh.shape):
         raise GeometryError("an upstream cell spans the whole domain (CFL too large)")
-    anchor_col = np.floor(snap_index(rx_lo.reshape(-1, 4).min(axis=1))).astype(int)
+    anchor = np.floor(snap_index(lo[:, 0])).astype(int)
 
-    eid, s0, s1 = split_edges_at_gridlines(eflat)
-    owner = edge_owner[eid]
+    eid, s0, s1 = split_edges_at_gridlines(edges)
+    owner = eid // 4
+    seg = edges[eid]                                                        # (P, 2, 3)
+    pix, piy = np.floor(snap_index(eval_quadratic(seg, 0.5 * (s0 + s1)[:, None]))).astype(int).T
 
     # straight pieces carry a degree 2k+1 integrand in the parameter, curved
     # ones degree 4k+3; both node counts are exact for those degrees
-    ng = (k + 2) if mode != "qc" else (2 * k + 2)
-    ref, ref_w = gauss_rule(ng)
+    ref, ref_w = gauss_rule((k + 2) if mode != "qc" else (2 * k + 2))
     it, iw = gauss_rule(k + 1)
+    sg = 0.5 * (s0 + s1)[:, None] + (s1 - s0)[:, None] * ref                # (P, G)
+    rg = eval_quadratic(seg[:, :, None, :], sg[:, None, :])                 # (P, 2, G)
+    # contour weight per node, with dx dy turning cell units into area
+    dyds = eval_quadratic_deriv(seg[:, 1, None, :], sg)
+    wg = (mesh.dx * mesh.dy) * ref_w * (s1 - s0)[:, None] * dyds
 
-    smid = 0.5 * (s0 + s1)
-    rx_m = snap_index(eval_quadratic(eflat[eid, 0, :], smid))
-    ry_m = snap_index(eval_quadratic(eflat[eid, 1, :], smid))
-    pix = np.floor(rx_m).astype(int)
-    piy = np.floor(ry_m).astype(int)
-
-    sg = smid[:, None] + (s1 - s0)[:, None] * ref[None, :]                  # (P, G)
-    rxg = eval_quadratic(eflat[eid, 0, :][:, None, :], sg)
-    ryg = eval_quadratic(eflat[eid, 1, :][:, None, :], sg)
-    dyg = eval_quadratic_deriv(eflat[eid, 1, :][:, None, :], sg) * mesh.dy  # physical dy/ds
-    wg = ref_w[None, :] * (s1 - s0)[:, None] * dyg                          # contour weight per node
-
-    eta = ryg - piy[:, None] - 0.5
-    xi_hi = rxg - pix[:, None] - 0.5
-
-    rows_all, cols_all, vals_all = [], [], []
-
-    def _emit(rows, cols, vals):
-        rows_all.append(rows.ravel())
-        cols_all.append(cols.ravel())
-        vals_all.append(vals.ravel())
+    # every piece pairs with each column from its owner's anchor to its own:
+    # Q there is the full-column integral left of the piece's column plus
+    # the partial integral inside it, up to the piece
+    ncols = pix - anchor[owner] + 1
+    if np.any(ncols < 1):
+        raise GeometryError("piece column left of its owner's anchor (geometry bug)")
+    piece = np.repeat(np.arange(eid.size), ncols)
+    col = anchor[owner[piece]] + np.arange(piece.size) - (np.cumsum(ncols) - ncols)[piece]
+    blocks = np.empty((piece.size, d, d))
+    for a in range(0, piece.size, _CHUNK):
+        p, c = piece[a:a + _CHUNK], col[a:a + _CHUNK]
+        o = owner[p]
+        x, y = rg[p, 0], rg[p, 1][:, :, None]                               # (q, G), (q, G, 1)
+        width = np.where((c == pix[p])[:, None], x - c[:, None], 1.0)       # (q, G)
+        xi = -0.5 + width[:, :, None] * (it + 0.5)                          # (q, G, T)
+        phi = basis.eval(xi, y - piy[p][:, None, None] - 0.5)               # (q, G, T, n)
+        fit = basis.eval(xi + (c + 0.5 - centers[o, 0])[:, None, None],
+                         y - centers[o, 1][:, None, None])                  # (q, G, T, d)
+        psi = np.matmul(fit.reshape(p.size, -1, d), np.swapaxes(cfit[o], 1, 2))
+        psi *= ((wg[p] * width)[:, :, None] * iw).reshape(p.size, -1, 1)
+        np.matmul(np.swapaxes(psi, 1, 2), phi.reshape(p.size, -1, d), out=blocks[a:a + _CHUNK])
 
     marange = np.arange(d)
-
-    def _blocks(phi, fit, own, w_nodes):
-        """blocks[p, m, n] = sum_{g,t} w[p,g] * iw[t] * psi_m * phi_n."""
-        p = phi.shape[0]
-        gt = ng * it.size
-        psi = np.matmul(fit.reshape(p, gt, d), np.swapaxes(cfit[own], 1, 2))
-        A = np.ascontiguousarray((phi * iw[None, None, :, None]).reshape(p, gt, d))
-        psi *= np.repeat(w_nodes, it.size, axis=1)[:, :, None]
-        out = np.empty((p, d, d))
-        for m in range(d):
-            out[:, m, :] = np.einsum("pj,pjn->pn", psi[:, :, m], A)
-        return mesh.dx * out
-
-    # partial-column contributions inside each piece's own background cell
-    npieces = eid.size
-    for a in range(0, npieces, _CHUNK):
-        sl = slice(a, min(a + _CHUNK, npieces))
-        width = xi_hi[sl] + 0.5                                             # (p, G)
-        xi_t = -0.5 + width[:, :, None] * (it[None, None, :] + 0.5)         # (p, G, T)
-        eta_t = eta[sl][:, :, None]
-        phi = basis.eval(xi_t, eta_t)                                       # (p, G, T, n)
-        xph = mesh.x_a + (pix[sl][:, None, None] + xi_t + 0.5) * mesh.dx
-        yph = mesh.y_a + ryg[sl][:, :, None] * mesh.dy
-        own = owner[sl]
-        fit = basis.eval(
-            (xph - centers[own, 0][:, None, None]) / mesh.dx,
-            (yph - centers[own, 1][:, None, None]) / mesh.dy,
-        )                                                                   # (p, G, T, d)
-        blocks = _blocks(phi, fit, own, wg[sl] * width)
-        cell = mesh.cell_index(pix[sl], piy[sl])
-        rows = own[:, None, None] * d + marange[None, :, None]
-        cols = cell[:, None, None] * d + marange[None, None, :]
-        _emit(np.broadcast_to(rows, blocks.shape), np.broadcast_to(cols, blocks.shape), blocks)
-
-    # full-column contributions of the columns between the anchor and the piece
-    nleft = pix - anchor_col[owner]
-    if np.any(nleft < 0):
-        raise GeometryError("piece column left of its owner's anchor (geometry bug)")
-    pair_piece = np.repeat(np.arange(npieces), nleft)
-    offs = np.concatenate([[0], np.cumsum(nleft)])
-    pair_col = anchor_col[owner][pair_piece] + (np.arange(pair_piece.size) - offs[pair_piece])
-    for a in range(0, pair_piece.size, _CHUNK):
-        b = min(a + _CHUNK, pair_piece.size)
-        pc = pair_piece[a:b]
-        co = pair_col[a:b]
-        own = owner[pc]
-        xi_t = np.broadcast_to(it[None, None, :], (pc.size, ng, it.size))
-        phi = basis.eval(xi_t, eta[pc][:, :, None])
-        xph = mesh.x_a + (co[:, None, None] + xi_t + 0.5) * mesh.dx
-        yph = mesh.y_a + ryg[pc][:, :, None] * mesh.dy
-        fit = basis.eval(
-            (xph - centers[own, 0][:, None, None]) / mesh.dx,
-            (yph - centers[own, 1][:, None, None]) / mesh.dy,
-        )
-        blocks = _blocks(phi, fit, own, wg[pc])
-        cell = mesh.cell_index(co, piy[pc])
-        rows = own[:, None, None] * d + marange[None, :, None]
-        cols = cell[:, None, None] * d + marange[None, None, :]
-        _emit(np.broadcast_to(rows, blocks.shape), np.broadcast_to(cols, blocks.shape), blocks)
-
+    cells = mesh.cell_index(col, piy[piece])
+    rows = np.broadcast_to((owner[piece] * d)[:, None, None] + marange[:, None], blocks.shape)
+    cols = np.broadcast_to((cells * d)[:, None, None] + marange, blocks.shape)
     n = mesh.ncells * d
-    R = sp.coo_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(n, n),
-    )
-    return R.tocsr()
+    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()

@@ -106,20 +106,22 @@ def tableau(name: str) -> ButcherTableau:
     return tab
 
 
+GMRES_RESTART = 60     # Krylov dimension between GMRES restarts
+GMRES_MAXITER = 5000   # GMRES restart cycles before a stage solve fails
+
+
 @dataclass(frozen=True)
 class LinearSolverConfig:
     """Stage-system solver selection.
 
     ``gmres`` is unpreconditioned restarted GMRES with relative threshold
-    ``tol`` (the paper's solver); ``direct`` is the exact block-diagonal
-    Fourier solve of the periodic system.  Both must meet ``tol`` on the
-    residual, and ``restart``/``maxiter`` apply to GMRES only.
+    ``tol`` (the paper's solver), restarted every ``GMRES_RESTART``
+    iterations; ``direct`` is the exact block-diagonal Fourier solve of the
+    periodic system.  Both must meet ``tol`` on the residual.
     """
 
     method: str = "gmres"
     tol: float = 1e-12
-    restart: int = 60
-    maxiter: int = 5000
 
     def __post_init__(self):
         if self.method not in ("gmres", "direct"):
@@ -285,7 +287,7 @@ class Stepper:
         )
         rtol = self.solver.tol / tighten
         x, info = spla.gmres(op, b, x0=x0, rtol=rtol, atol=0.25 * rtol * np.linalg.norm(b),
-                             restart=self.solver.restart, maxiter=self.solver.maxiter)
+                             restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
         if info > 0:
             resid = np.linalg.norm(self._apply_system(gamma, x) - b)
             raise SolverError(f"GMRES exhausted {info} iterations, residual {resid:.3e}")
@@ -307,35 +309,29 @@ class Stepper:
             load = self._apply_remap(self._remap(t + dt, t), u.coeffs)
             return DGField(self.mesh, self.k, (load / self.mass).reshape(u.coeffs.shape), t + dt)
 
-        stage_p: list[np.ndarray | None] = [None] * s
-        stage_g: list[np.ndarray | None] = [None] * s
+        # stage_f[j] is stage j's explicit term eps D x_j + g_j (None if neither)
+        stage_f: list[np.ndarray | None] = [None] * s
         added = 0.0
         x = u.coeffs.ravel()
         for ii in range(s):
             t_ii = t + c[ii] * dt
             rhs = self._apply_remap(self._remap(t_ii, t), u.coeffs)
             for jj in range(ii):
-                if A[ii, jj] == 0.0:
-                    continue
-                parts = []
-                if self.eps != 0.0:
-                    parts.append(self.eps * stage_p[jj])
-                if stage_g[jj] is not None:
-                    parts.append(stage_g[jj])
-                if not parts:
-                    continue
-                combo = parts[0] if len(parts) == 1 else parts[0] + parts[1]
-                rhs = rhs + A[ii, jj] * dt * self._apply_remap(
-                    self._remap(t_ii, t + c[jj] * dt), combo
-                )
+                if A[ii, jj] != 0.0 and stage_f[jj] is not None:
+                    rhs = rhs + A[ii, jj] * dt * self._apply_remap(
+                        self._remap(t_ii, t + c[jj] * dt), stage_f[jj]
+                    )
+            g = None
             if self.source is not None:
-                g = project(lambda *x: self.source(*x, t_ii), self.mesh, self.k)
-                added += self.tableau.b[ii] * dt * total_mass(g)
-                stage_g[ii] = g.coeffs.ravel()
-                rhs = rhs + A[ii, ii] * dt * (self.mass * stage_g[ii])
+                proj = project(lambda *x: self.source(*x, t_ii), self.mesh, self.k)
+                added += self.tableau.b[ii] * dt * total_mass(proj)
+                g = proj.coeffs.ravel()
+                rhs = rhs + A[ii, ii] * dt * (self.mass * g)
             x = self.solve_stage(A[ii, ii] * dt * self.eps, rhs)
+            stage_f[ii] = g
             if self.eps != 0.0:
-                stage_p[ii] = self.ldg.apply_flat(x) if self.last_dx is None else self.last_dx
+                dx = self.ldg.apply_flat(x) if self.last_dx is None else self.last_dx
+                stage_f[ii] = self.eps * dx if g is None else self.eps * dx + g
         self.source_mass += added
         return DGField(self.mesh, self.k, x.reshape(u.coeffs.shape), t + dt)
 

@@ -125,13 +125,13 @@ def test_cell_lattice_shares_points():
 def test_cell_points_ordering_and_identity():
     mesh = Mesh2D(0.0, 1.0, 0.0, 1.0, 4, 4)
     four = traced_cell_points(mesh, 1.0, 0.0, zero_field(2), CELL_POINTS_4, 1)[5]
-    # counterclockwise corners of cell (1, 1)
-    corners = np.array([[0.25, 0.25], [0.5, 0.25], [0.5, 0.5], [0.25, 0.5]])
+    # counterclockwise corners of cell (1, 1), in index coordinates
+    corners = np.array([[1.0, 1.0], [2.0, 1.0], [2.0, 2.0], [1.0, 2.0]])
     assert np.array_equal(four, corners)
     nine = traced_cell_points(mesh, 1.0, 0.0, zero_field(2), CELL_POINTS_9, 1)[5]
     assert np.array_equal(nine[:4], corners)
     # then the edge midpoints (bottom, right, top, left), then the center
-    mids = np.array([[0.375, 0.25], [0.5, 0.375], [0.375, 0.5], [0.25, 0.375], [0.375, 0.375]])
+    mids = np.array([[1.5, 1.0], [2.0, 1.5], [1.5, 2.0], [1.0, 1.5], [1.5, 1.5]])
     assert np.max(np.abs(nine[4:] - mids)) < 1e-15
 
 
@@ -140,8 +140,8 @@ def test_cell_points_constant_shift(ref):
     mesh = Mesh2D(0.0, 1.0, 0.0, 1.0, 4, 4)
     dt = 0.2
     feet = traced_cell_points(mesh, dt, 0.0, constant_2d(1.0, 1.0), ref, 8)[5]
-    src = np.array([0.375, 0.375]) + 0.25 * np.array(ref)
-    assert np.max(np.abs(feet - (src - dt))) < 1e-14
+    src = np.array([1.5, 1.5]) + np.array(ref)
+    assert np.max(np.abs(feet - (src - dt / mesh.dx))) < 1e-14
 
 
 @pytest.mark.parametrize("ref", [CELL_POINTS_4, CELL_POINTS_9])
@@ -150,9 +150,9 @@ def test_cell_points_constant_shift(ref):
     (rigid_rotation(math.pi, math.pi), 0.3, 0.0),
 ])
 def test_cell_points_match_per_cell_trace(v, t_end, t_start, ref):
-    # every cell's gathered feet are its own reference points traced one by
-    # one, moved as a whole by the periods that bring the corners' bounding
-    # box midpoint into the domain
+    # every cell's gathered feet, in index coordinates, are its own
+    # reference points traced one by one, moved as a whole by the periods
+    # that bring the corners' bounding box midpoint into the domain
     mesh = Mesh2D(-math.pi, math.pi, -math.pi, math.pi, 8, 8)
     substeps = 6
     feet = traced_cell_points(mesh, t_end, t_start, v, ref, substeps)
@@ -161,12 +161,12 @@ def test_cell_points_match_per_cell_trace(v, t_end, t_start, ref):
                         -math.pi + mesh.dy * (iy.ravel() + 0.5)], axis=-1)
     src = centers[:, None, :] + np.array(ref)[None] * np.array(mesh.widths)
     direct = np.stack(trace_back((src[..., 0], src[..., 1]), t_end, t_start, v, substeps), axis=-1)
-    periods = (feet - direct) / (2 * math.pi)
+    periods = (feet - (direct - mesh.lower) / mesh.widths) / mesh.shape
     shift = np.rint(periods)
     assert np.max(np.abs(periods - shift)) < 1e-12
     assert np.all(shift == shift[:, :1])                # one shift per cell
     mid = 0.5 * (feet[:, :4].min(axis=1) + feet[:, :4].max(axis=1))
-    assert np.all((mid >= -math.pi) & (mid < math.pi))
+    assert np.all((mid >= 0) & (mid < 8))
     if v.name == "rigid rotation":
         assert np.any(shift != 0)                       # some cells wrap a period
 

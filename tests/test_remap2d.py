@@ -78,13 +78,14 @@ def test_translation_quarter_dx_only():
 
 
 def fitted_tests(mesh, t_end, v, k, mode, j):
-    """Cell j's traced feet and its fitted tests as a function of (x, y)."""
+    """Cell j's traced feet and its fitted tests as a function of (x, y),
+    both in index coordinates."""
     feet = traced_cell_points(mesh, t_end, 0.0, v, tracked_points(mode, k))
-    centers, cfit = fit_tests(feet, k, mesh.dx, mesh.dy)
+    centers, cfit = fit_tests(feet, k)
     basis = Basis(k, 2)
 
     def psi(x, y):
-        return basis.eval((x - centers[j, 0]) / mesh.dx, (y - centers[j, 1]) / mesh.dy) @ cfit[j].T
+        return basis.eval(x - centers[j, 0], y - centers[j, 1]) @ cfit[j].T
 
     return feet[j], psi
 
@@ -94,12 +95,11 @@ def test_constant_velocity_test_function_is_shift():
     dt = 0.4
     _, psi = fitted_tests(mesh, dt, constant_2d(1.0, 1.0), 1, "quad", 20)
     basis = Basis(1, 2)
-    cx = mesh.x_a + (20 % 8 + 0.5) * mesh.dx
-    cy = mesh.y_a + (20 // 8 + 0.5) * mesh.dy
-    pts = np.array([[0.0, 0.0], [0.1, -0.2], [-0.3, 0.25]])
-    xs = cx + pts[:, 0] - dt
-    ys = cy + pts[:, 1] - dt
-    want = basis.eval((xs + dt - cx) / mesh.dx, (ys + dt - cy) / mesh.dy)
+    cx, cy = 20 % 8 + 0.5, 20 // 8 + 0.5
+    pts = np.array([[0.0, 0.0], [0.1, -0.2], [-0.3, 0.25]]) / mesh.dx
+    xs = cx + pts[:, 0] - dt / mesh.dx
+    ys = cy + pts[:, 1] - dt / mesh.dy
+    want = basis.eval(pts[:, 0], pts[:, 1])
     assert np.max(np.abs(psi(xs, ys) - want)) < 1e-10
 
 
@@ -156,7 +156,7 @@ def test_area_consistency_rotation(mode):
     mesh = Mesh2D(-2 * np.pi, 2 * np.pi, -2 * np.pi, 2 * np.pi, 8, 8)
     v = rigid_rotation()
     feet = traced_cell_points(mesh, 0.25, 0.0, v, tracked_points(mode, 2))
-    signed = curved_areas(cell_edges(feet, mode))
+    signed = curved_areas(cell_edges(feet, mode)) * mesh.dx * mesh.dy
     for j in (9, 27, 44):
         for areas in overlap_areas(mesh, 2, 0.25, 0.0, v, mode, j):
             assert abs(areas.sum() - signed[j]) < 1e-11
@@ -179,8 +179,8 @@ def test_quad_areas_match_monte_carlo():
     rng = np.random.default_rng(12)
     corners = traced_cell_points(mesh, 0.3, 0.0, v, tracked_points("quad", 1))[27, :4]
     areas, _ = overlap_areas(mesh, 1, 0.3, 0.0, v, "quad", 27)
-    lo = np.floor((corners.min(axis=0) - mesh.lower) / mesh.widths).astype(int)
-    hi = np.ceil((corners.max(axis=0) - mesh.lower) / mesh.widths).astype(int)
+    lo = np.floor(corners.min(axis=0)).astype(int)
+    hi = np.ceil(corners.max(axis=0)).astype(int)
 
     def inside(px, py):
         ok = np.ones(px.shape, dtype=bool)
@@ -192,10 +192,8 @@ def test_quad_areas_match_monte_carlo():
     nsamp = 200_000
     for iy in range(lo[1], hi[1]):
         for ix in range(lo[0], hi[0]):
-            x0 = mesh.x_a + ix * mesh.dx
-            y0 = mesh.y_a + iy * mesh.dy
-            px = x0 + mesh.dx * rng.random(nsamp)
-            py = y0 + mesh.dy * rng.random(nsamp)
+            px = ix + rng.random(nsamp)
+            py = iy + rng.random(nsamp)
             p = float(np.mean(inside(px, py)))
             est = p * mesh.dx * mesh.dy
             sigma = mesh.dx * mesh.dy * math.sqrt(max(p * (1 - p), 1e-9) / nsamp)
@@ -335,9 +333,9 @@ def test_folded_curved_cell_guard(monkeypatch):
     # midpoint encloses more than the cell, so the curved area is negative
     mesh = Mesh2D(0.0, 4.0, 0.0, 4.0, 4, 4)
     feet = traced_cell_points(mesh, 0.5, 0.0, zero_field(2), tracked_points("qc", 1))
-    feet[5, 4, 1] += 2.0 * mesh.dy
+    feet[5, 4, 1] += 2.0
     check_upstream_quads(feet[:, :4])
-    assert curved_areas(cell_edges(feet, "qc"))[5] == pytest.approx(-mesh.dx * mesh.dy / 3)
+    assert curved_areas(cell_edges(feet, "qc"))[5] == pytest.approx(-1 / 3)
     monkeypatch.setattr(remap2d_matrix, "traced_cell_points", lambda *args: feet)
     with pytest.raises(GeometryError, match="curved upstream cell 5 has nonpositive area"):
         assemble_remap_2d(mesh, 1, 0.5, 0.0, zero_field(2), "qc")

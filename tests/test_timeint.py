@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from sldg import timeint
 from sldg.characteristics import constant_1d, constant_2d, rigid_rotation, sine_1d, zero_field
 from sldg.core import DGField, Mesh1D, Mesh2D, mass_vector, project, total_mass
 from sldg.ldg import FluxChoice, LDGOperator
@@ -155,10 +156,11 @@ def test_solve_stage_residual_contract():
     assert resid <= tol * max(1.0, np.linalg.norm(rhs))
 
 
-def test_solver_failure_raises():
+def test_solver_failure_raises(monkeypatch):
+    monkeypatch.setattr(timeint, "GMRES_RESTART", 3)
+    monkeypatch.setattr(timeint, "GMRES_MAXITER", 1)
     mesh = Mesh1D(0.0, 2 * np.pi, 40)
-    st = Stepper(mesh, 2, constant_1d(1.0), eps=1.0,
-                 solver=LinearSolverConfig("gmres", 1e-14, restart=3, maxiter=1))
+    st = Stepper(mesh, 2, constant_1d(1.0), eps=1.0, solver=LinearSolverConfig("gmres", 1e-14))
     rng = np.random.default_rng(1)
     with pytest.raises(SolverError):
         st.solve_stage(10.0, rng.standard_normal(120))
