@@ -1,15 +1,17 @@
-"""Conservative 1D remap: upstream intervals, test reconstruction, loads.
+"""Conservative remap: the moment back end of 1D and 2D, and the 1D assembler.
 
-Updating the transported part of the solution requires, for every cell and
-every test basis function Psi_m, the inner product of the old solution with
-the backward-traced test function over the upstream interval.  The traced
-test function is reconstructed as the degree-k polynomial interpolating
-Psi_m's values through the characteristic feet of the cell's Gauss-Lobatto
-points, the upstream interval is split against the background mesh, and each
-piece is integrated with a Gauss rule that is exact for the degree-2k
-integrand.  ``assemble_remap_1d`` does this for all cells at once and
-returns the remap operator as a sparse matrix (load = R @ coefficients),
-which the time stepper reuses across steps.
+Each remap load integrates the old solution times a traced test function
+over the upstream cell, a sum over its overlaps with background cells.  On
+one overlap both factors are polynomials, so the integral is a fixed
+contraction of the overlap's monomial moments W[a] = int xi^a, with
+xi = r - col - 1/2 the background cell's frame (r the cell-index
+coordinate).  The assemblers (``assemble_remap_1d`` here,
+``assemble_remap_2d`` in ``remap2d_matrix``) compute only those moments;
+``remap_matrix`` sums them per (owner, background cell) and contracts each
+sum into one d x d block of the remap operator R (load = R @ coefficients),
+a ``bsr_matrix``: convert it with ``.tocsr()`` before slicing.  In 1D the
+tests interpolate through the feet of each cell's Gauss-Lobatto points and
+a piece's moments are closed form.
 """
 
 from __future__ import annotations
@@ -18,28 +20,93 @@ import numpy as np
 import scipy.sparse as sp
 
 from .characteristics import GL_POINTS, VelocityField, cell_lattice, snap_index, substeps_for, trace_back
-from .core import Basis, Mesh1D, gauss_rule
+from .core import Basis, Mesh1D
 
 
 class GeometryError(RuntimeError):
     """Raised when traced geometry is unusable (non-monotone feet, over-long upstream)."""
 
 
-def lagrange_weights(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Lagrange basis values L_i(x) for small node sets.
+def fit_tests(feet: np.ndarray, k: int, src: np.ndarray):
+    """Least-squares fits Psi*(foot_q) = Psi(src_q) of every test basis function.
 
-    nodes: (..., p) interpolation points, x: (..., q) evaluation points;
-    returns (..., q, p).
+    ``feet`` has shape (ncells, npts, ndim), in index coordinates, and
+    ``src`` (npts, ndim) holds the reference positions they were traced
+    from; with npts = d (1D) the fit interpolates.  Returns the fit-frame
+    centers (the feet centroids, (ncells, ndim)) and coefficients
+    (ncells, m, d): test m's reconstruction in the basis centered there.
     """
-    p = nodes.shape[-1]
-    diff = x[..., :, None] - nodes[..., None, :]          # (..., q, p)
-    out = np.ones_like(diff)
-    for i in range(p):
-        for j in range(p):
-            if i == j:
-                continue
-            out[..., i] *= diff[..., j] / (nodes[..., i] - nodes[..., j])[..., None]
-    return out
+    basis = Basis(k, feet.shape[-1])
+    B = basis.eval(*src.T)                                   # (npts, m)
+    centers = feet.mean(axis=1)
+    A = basis.eval(*np.moveaxis(feet - centers[:, None, :], -1, 0))   # (C, npts, d)
+    G = np.einsum("cqd,cqe->cde", A, A)
+    rhs = np.einsum("cqd,qm->cdm", A, B)
+    sol = np.linalg.solve(G, rhs)                            # (C, d, m)
+    return centers, np.ascontiguousarray(np.swapaxes(sol, 1, 2))
+
+
+def powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x**0 ... x**(n-1) along a new last axis, by repeated products (np.power is slow)."""
+    out = np.ones((n,) + x.shape)
+    for i in range(1, n):
+        out[i] = out[i - 1] * x
+    return np.moveaxis(out, 0, -1)
+
+
+def _monomials(basis: Basis, s: np.ndarray) -> np.ndarray:
+    """T[..., n, alpha]: coefficients of basis function n at xi + s over the monomials xi^alpha.
+
+    The exponents alpha run over ``basis.modes``, whose per-axis mode
+    indices are also the leading exponents, so they cover P^k.  Each axis
+    factor is a 1D mode {1, xi, xi^2 - 1/12} shifted by s.
+    """
+    e = np.array(basis.modes)
+    T = 1.0
+    for ax in range(basis.ndim):
+        s_ax = s[..., ax]
+        S = np.zeros(s_ax.shape + (3, 3))                    # S[mode, power]
+        S[..., 0, 0] = S[..., 1, 1] = S[..., 2, 2] = 1.0
+        S[..., 1, 0] = s_ax
+        S[..., 2, 0] = s_ax * s_ax - 1.0 / 12.0
+        S[..., 2, 1] = 2.0 * s_ax
+        T = T * S[..., e[:, None, ax], e[None, :, ax]]
+    return T
+
+
+def remap_matrix(mesh, k: int, owner: np.ndarray, col: np.ndarray, moments: np.ndarray,
+                 centers: np.ndarray, cfit: np.ndarray) -> sp.bsr_matrix:
+    """Block-sparse remap operator from the monomial moments of every overlap.
+
+    ``owner`` (P,) holds each overlap's upstream cell, ``col`` (P, ndim)
+    its background cell's unwrapped per-axis index, ``moments``
+    (P, 2k+1[, 2k+1]) its moments in that cell's frame times the cell
+    measure; ``centers`` and ``cfit`` come from ``fit_tests``.  The moments
+    W summed per (owner, unwrapped cell) give the block Psi H Phi^T of row
+    block ``owner``: the owner's tests re-expanded about the unwrapped
+    cell's center, the Hankel gather H[alpha, beta] = W[alpha + beta] and
+    the basis's monomial coefficients.
+    """
+    basis = Basis(k, mesh.ndim)
+    low = col.min(axis=0)
+    span = col.max(axis=0) - low + 1
+    key = np.ravel_multi_index((owner, *(col - low).T), (mesh.ncells, *span))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    W = np.add.reduceat(moments[order], start, axis=0).reshape(start.size, -1)
+    o, c = owner[order[start]], col[order[start]]
+
+    e = np.array(basis.modes)
+    hankel = np.ravel_multi_index(tuple(e[:, None, ax] + e[None, :, ax] for ax in range(mesh.ndim)),
+                                  (2 * k + 1,) * mesh.ndim)
+    psi = cfit[o] @ _monomials(basis, c + 0.5 - centers[o])          # tests in the cell's frame
+    phi = _monomials(basis, np.zeros(mesh.ndim))
+    blocks = psi @ W[:, hankel] @ phi.T
+    cells = np.ravel_multi_index(tuple(np.mod(c, mesh.shape).T), mesh.shape, order="F")
+    indptr = np.searchsorted(o, np.arange(mesh.ncells + 1))
+    n = mesh.ncells * basis.dim
+    return sp.bsr_matrix((blocks, cells, indptr), shape=(n, n))
 
 
 def traced_interval_points(mesh: Mesh1D, k: int, t_end: float, t_start: float,
@@ -64,55 +131,24 @@ def traced_interval_points(mesh: Mesh1D, k: int, t_end: float, t_start: float,
 
 
 def assemble_remap_1d(mesh: Mesh1D, k: int, t_end: float, t_start: float,
-                      v: VelocityField) -> sp.csr_matrix:
-    """Sparse remap operator over global coefficients: load = R @ u.
+                      v: VelocityField) -> sp.bsr_matrix:
+    """Block-sparse remap operator over global coefficients: load = R @ u.
 
     Row block j holds the loads of cell j.  Every upstream interval is cut
-    at the grid lines it crosses; each piece is integrated in the
-    background cell its midpoint lies in, with the test interpolants
-    evaluated by Lagrange weights through the snapped feet.
+    at the grid lines it crosses, and each piece's moments are taken in
+    the background cell it lies in.
     """
     rc = traced_interval_points(mesh, k, t_end, t_start, v)
     feet = rc[:, 1:2] if k == 0 else rc                  # (N, k+1) Gauss-Lobatto feet
-    d = k + 1
-    N = mesh.n
+    centers, cfit = fit_tests(feet[..., None], k, np.array(GL_POINTS[k])[:, None])
 
+    # one piece per background cell the upstream interval [rlo, rhi] meets
     rlo, rhi = rc[:, 0], rc[:, -1]
-    first = np.floor(rlo).astype(int) + 1
-    ncuts = np.maximum(np.ceil(rhi).astype(int) - 1 - first + 1, 0)
-    nsub = ncuts + 1
-
-    # ragged list of breakpoints per cell -> flat (lo, hi, owner) arrays
-    owner = np.repeat(np.arange(N), nsub)
-    offs = np.concatenate([[0], np.cumsum(nsub)])
-    total = offs[-1]
-    lo = np.empty(total)
-    hi = np.empty(total)
-    pos = np.arange(total) - offs[owner]                 # piece rank within its cell
-    lo[:] = np.where(pos == 0, rlo[owner], first[owner] + pos - 1)
-    hi[:] = np.where(pos == nsub[owner] - 1, rhi[owner], first[owner] + pos)
-
-    keep = hi - lo > 0.0
-    lo, hi, owner = lo[keep], hi[keep], owner[keep]
-    idx = np.floor(0.5 * (lo + hi)).astype(int)
-    bg = np.mod(idx, N)
-
-    nodes, weights = gauss_rule(k + 1)
-    r_nodes = lo[:, None] + (nodes[None, :] + 0.5) * (hi - lo)[:, None]   # (S, q) index coords
-    xi = r_nodes - idx[:, None] - 0.5
-    basis = Basis(k, 1)
-    phi = basis.eval(xi)                                  # (S, q, d) values of background basis
-
-    L = lagrange_weights(feet[owner], r_nodes)            # (S, q, d) Lagrange basis at nodes
-    src_vals = basis.eval(np.array(GL_POINTS[k])).T       # (d_m, k+1)
-    psi = np.einsum("sqp,mp->sqm", L, src_vals)           # (S, q, d_m)
-
-    scale = ((hi - lo) * mesh.dx)[:, None]
-    blocks = np.einsum("q,sqm,sqn->smn", weights, psi, phi) * scale[..., None]
-
-    rows = (owner[:, None, None] * d + np.arange(d)[None, :, None])
-    cols = (bg[:, None, None] * d + np.arange(d)[None, None, :])
-    rows = np.broadcast_to(rows, blocks.shape).ravel()
-    cols = np.broadcast_to(cols, blocks.shape).ravel()
-    R = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(N * d, N * d))
-    return R.tocsr()
+    first = np.floor(rlo).astype(int)
+    ncols = np.ceil(rhi).astype(int) - first
+    owner = np.repeat(np.arange(mesh.n), ncols)
+    idx = first[owner] + np.arange(owner.size) - (np.cumsum(ncols) - ncols)[owner]
+    lo, hi = np.maximum(rlo[owner], idx), np.minimum(rhi[owner], idx + 1)
+    a = np.arange(1, 2 * k + 2)
+    moments = (powers(hi - idx - 0.5, 2 * k + 2) - powers(lo - idx - 0.5, 2 * k + 2))[:, 1:] / a
+    return remap_matrix(mesh, k, owner, idx[:, None], mesh.dx * moments, centers, cfit)

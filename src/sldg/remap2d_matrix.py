@@ -1,13 +1,12 @@
-"""Vectorized assembly of the 2D remap operator as a sparse matrix.
+"""Vectorized assembly of the 2D remap operator.
 
 The remap load vector is linear in the old solution's coefficients, so the
 whole remap for one (later time, earlier time) pair is a sparse matrix R
 with load = R @ coefficients.  The stepper builds R once per traced geometry
 and reuses it across stages and steps whenever the velocity field allows.
 
-All geometry lives in cell-index coordinates, as in the 1D assembler: the
-traced feet, the test fits, the edge curves and their splitting at grid
-lines.  Only the final contour weights carry the cell area dx dy.
+All geometry lives in cell-index coordinates, as in 1D: the traced feet,
+the test fits, the edge curves and their splitting at grid lines.
 
 The assembly avoids region chaining altogether by anchoring the Green
 auxiliary function globally per upstream cell: with Q(x, y) the
@@ -16,25 +15,20 @@ upstream cell, horizontal boundary pieces contribute nothing (dy = 0) and
 all vertical grid lines become interior to Q's definition, so only the
 upstream boundary pieces themselves carry contour contributions.  Q at a
 point inside background column ix is a sum over the columns from the anchor
-to ix: full-column integrals (polynomials in y) for the columns left of ix
-and the partial integral inside ix.  So every boundary piece pairs with
-each of those columns, and one loop over the (piece, column) pairs
-integrates them all by Gauss rules that are exact for the polynomial
-integrands.  Any per-owner anchor gives the same loads because two anchors
-change Q by a function of y only, whose contour integral over the closed
-upstream boundary vanishes.
-
-Exactness of all quadrature makes the operator reproduce the mass matrix
-for zero velocity and the projection of the translated field for constant
-velocity, to rounding.
+to ix: full-column integrals for the columns left of ix and the partial
+integral inside ix.  So every boundary piece pairs with each of those
+columns, and each pair yields a table of monomial moments, integrated
+exactly along the piece, that ``remap1d.remap_matrix`` turns into R.  Any
+per-owner anchor gives the same loads because two anchors change Q by a
+function of y only, whose contour integral over the closed upstream
+boundary vanishes.
 
 The module also holds the geometry the clipping oracle in ``verify``
-takes from it: the traced and snapped cell points, the least-squares test
-fits and the quadratic edge curves.  Edges are quadratic parametrizations
-(x(s), y(s)) for s in [0, 1]; straight segments are the degenerate case
-with vanishing quadratic part.  Upstream cells are rejected when their
-corner quadrilateral is flipped or self-crossing, or when their curved
-area is not positive.
+takes from it: the traced and snapped cell points and the quadratic edge
+curves.  Edges are quadratic parametrizations (x(s), y(s)) for s in
+[0, 1]; straight segments are the degenerate case with vanishing quadratic
+part.  Upstream cells are rejected when their corner quadrilateral is
+flipped or self-crossing, or when their curved area is not positive.
 """
 
 from __future__ import annotations
@@ -51,11 +45,10 @@ from .characteristics import (
     substeps_for,
     trace_back,
 )
-from .core import Basis, Mesh2D, gauss_rule
-from .remap1d import GeometryError
+from .core import Mesh2D, gauss_rule
+from .remap1d import GeometryError, fit_tests, powers, remap_matrix
 
 ROOT_EDGE_TOL = 1e-11  # crossings this close to an edge endpoint are dropped
-_CHUNK = 8_000  # (piece, column) pairs per batch; bounds the assembly's peak memory
 
 
 # ---------------------------------------------------------------------------
@@ -271,28 +264,9 @@ def curved_areas(edges: np.ndarray) -> np.ndarray:
     return np.einsum("q,ceq,ceq->c", weights, x, dy)
 
 
-def fit_tests(feet: np.ndarray, k: int):
-    """Least-squares fits Psi*(foot_q) = Psi(source_q) of every test basis.
-
-    ``feet`` has shape (ncells, npts, 2), in index coordinates.  Returns the
-    fit-frame centers (the feet centroids, (ncells, 2)) and coefficients
-    (ncells, m, d): test m's reconstruction in the basis centered there.
-    """
-    basis = Basis(k, 2)
-    src = np.array(CELL_POINTS_9[: feet.shape[1]])
-    B = basis.eval(src[:, 0], src[:, 1])                     # (npts, m)
-    centers = feet.mean(axis=1)                              # (C, 2)
-    rel = feet - centers[:, None, :]
-    A = basis.eval(rel[..., 0], rel[..., 1])                 # (C, npts, d)
-    G = np.einsum("cqd,cqe->cde", A, A)
-    rhs = np.einsum("cqd,qm->cdm", A, B)
-    sol = np.linalg.solve(G, rhs)                            # (C, d, m)
-    return centers, np.ascontiguousarray(np.swapaxes(sol, 1, 2))   # (C, m, d)
-
-
 def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
-                      v: VelocityField, mode: str = "quad") -> sp.csr_matrix:
-    """Sparse 2D remap operator over global coefficients: load = R @ u.
+                      v: VelocityField, mode: str = "quad") -> sp.bsr_matrix:
+    """Block-sparse 2D remap operator over global coefficients: load = R @ u.
 
     Raises GeometryError naming the first upstream cell whose corner
     quadrilateral is flipped or self-crossing, or whose curved area is not
@@ -300,10 +274,9 @@ def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
     """
     if mode not in ("quad", "qc"):
         raise ValueError("mode must be 'quad' or 'qc'")
-    basis = Basis(k, 2)
-    d = basis.dim
-    feet = traced_cell_points(mesh, t_end, t_start, v, tracked_points(mode, k))
-    centers, cfit = fit_tests(feet, k)
+    ref = tracked_points(mode, k)
+    feet = traced_cell_points(mesh, t_end, t_start, v, ref)
+    centers, cfit = fit_tests(feet, k, np.array(ref))
 
     edges = cell_edges(feet, mode)
     folded = np.flatnonzero(curved_areas(edges) <= 0.0)
@@ -321,15 +294,15 @@ def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
     seg = edges[eid]                                                        # (P, 2, 3)
     pix, piy = np.floor(snap_index(eval_quadratic(seg, 0.5 * (s0 + s1)[:, None]))).astype(int).T
 
-    # straight pieces carry a degree 2k+1 integrand in the parameter, curved
-    # ones degree 4k+3; both node counts are exact for those degrees
-    ref, ref_w = gauss_rule((k + 2) if mode != "qc" else (2 * k + 2))
-    it, iw = gauss_rule(k + 1)
-    sg = 0.5 * (s0 + s1)[:, None] + (s1 - s0)[:, None] * ref                # (P, G)
-    rg = eval_quadratic(seg[:, :, None, :], sg[:, None, :])                 # (P, 2, G)
+    # straight pieces carry a moment integrand of degree up to 2k+1 in the
+    # parameter, curved ones up to 4k+3; both node counts are exact for those
+    nodes, weights = gauss_rule((k + 2) if mode != "qc" else (2 * k + 2))
+    sg = 0.5 * (s0 + s1)[:, None] + (s1 - s0)[:, None] * nodes              # (P, G)
+    x, y = eval_quadratic(seg[:, :, None, :], sg[:, None, :]).transpose(1, 0, 2)
     # contour weight per node, with dx dy turning cell units into area
-    dyds = eval_quadratic_deriv(seg[:, 1, None, :], sg)
-    wg = (mesh.dx * mesh.dy) * ref_w * (s1 - s0)[:, None] * dyds
+    wg = (mesh.dx * mesh.dy) * weights * (s1 - s0)[:, None]
+    wg = wg * eval_quadratic_deriv(seg[:, 1, None, :], sg)
+    eta = powers(y - piy[:, None] - 0.5, 2 * k + 1)                          # (P, G, 2k+1)
 
     # every piece pairs with each column from its owner's anchor to its own:
     # Q there is the full-column integral left of the piece's column plus
@@ -339,23 +312,11 @@ def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
         raise GeometryError("piece column left of its owner's anchor (geometry bug)")
     piece = np.repeat(np.arange(eid.size), ncols)
     col = anchor[owner[piece]] + np.arange(piece.size) - (np.cumsum(ncols) - ncols)[piece]
-    blocks = np.empty((piece.size, d, d))
-    for a in range(0, piece.size, _CHUNK):
-        p, c = piece[a:a + _CHUNK], col[a:a + _CHUNK]
-        o = owner[p]
-        x, y = rg[p, 0], rg[p, 1][:, :, None]                               # (q, G), (q, G, 1)
-        width = np.where((c == pix[p])[:, None], x - c[:, None], 1.0)       # (q, G)
-        xi = -0.5 + width[:, :, None] * (it + 0.5)                          # (q, G, T)
-        phi = basis.eval(xi, y - piy[p][:, None, None] - 0.5)               # (q, G, T, n)
-        fit = basis.eval(xi + (c + 0.5 - centers[o, 0])[:, None, None],
-                         y - centers[o, 1][:, None, None])                  # (q, G, T, d)
-        psi = np.matmul(fit.reshape(p.size, -1, d), np.swapaxes(cfit[o], 1, 2))
-        psi *= ((wg[p] * width)[:, :, None] * iw).reshape(p.size, -1, 1)
-        np.matmul(np.swapaxes(psi, 1, 2), phi.reshape(p.size, -1, d), out=blocks[a:a + _CHUNK])
-
-    marange = np.arange(d)
-    cells = mesh.cell_index(col, piy[piece])
-    rows = np.broadcast_to((owner[piece] * d)[:, None, None] + marange[:, None], blocks.shape)
-    cols = np.broadcast_to((cells * d)[:, None, None] + marange, blocks.shape)
-    n = mesh.ncells * d
-    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+    # a pair's moments: the contour integral of Q_a eta^b dy, where
+    # Q_a = int xi^a from the column's left edge to xi_hi (1/2 left of the piece)
+    xi_hi = np.where((col == pix[piece])[:, None], x[piece] - col[:, None] - 0.5, 0.5)
+    a = np.arange(1, 2 * k + 2)
+    Q = (powers(xi_hi, 2 * k + 2)[..., 1:] - (-0.5) ** a) / a
+    moments = np.swapaxes(wg[piece][..., None] * Q, 1, 2) @ eta[piece]
+    return remap_matrix(mesh, k, owner[piece], np.stack([col, piy[piece]], axis=1), moments,
+                        centers, cfit)

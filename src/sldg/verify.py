@@ -21,8 +21,8 @@ import numpy as np
 from .characteristics import constant_1d, constant_2d, sine_1d, swirling, trace_back
 from .core import Basis, Mesh1D, Mesh2D, QuadratureRule, gauss_rule, mass_vector, project
 from .ldg import FluxChoice, assemble_ldg_1d, assemble_ldg_2d, dissipativity_check
-from .remap1d import assemble_remap_1d, traced_interval_points
-from .remap2d_matrix import assemble_remap_2d, cell_edges, fit_tests, traced_cell_points, tracked_points
+from .remap1d import assemble_remap_1d, fit_tests, traced_interval_points
+from .remap2d_matrix import assemble_remap_2d, cell_edges, traced_cell_points, tracked_points
 from .timeint import tableau
 
 
@@ -117,8 +117,9 @@ def clipped_rows(mesh: Mesh2D, k: int, t_end: float, t_start: float, v, mode: st
     """
     basis = Basis(k, 2)
     d = basis.dim
-    feet = traced_cell_points(mesh, t_end, t_start, v, tracked_points(mode, k))
-    centers, cfit = fit_tests(feet, k)
+    ref = tracked_points(mode, k)
+    feet = traced_cell_points(mesh, t_end, t_start, v, ref)
+    centers, cfit = fit_tests(feet, k, np.array(ref))
     edges = cell_edges(feet, mode)
     rows = np.zeros((len(cells), d, mesh.ncells * d))
     for r, j in enumerate(cells):
@@ -188,7 +189,7 @@ def check_remap1d_tiling() -> tuple:
     mesh = Mesh1D(0.0, 2.0 * math.pi, 16)
     v = sine_1d()
     rc = traced_interval_points(mesh, 2, 0.4, 0.0, v)
-    lengths = assemble_remap_1d(mesh, 2, 0.4, 0.0, v)[::3, ::3].toarray()   # mode-0 entries
+    lengths = assemble_remap_1d(mesh, 2, 0.4, 0.0, v).tocsr()[::3, ::3].toarray()   # mode-0 entries
     worst_local = float(np.max(np.abs(lengths.sum(axis=1) - mesh.dx * (rc[:, -1] - rc[:, 0]))))
     worst_global = float(np.max(np.abs(lengths.sum(axis=0) - mesh.dx)))
     ok = worst_local < 1e-12 and worst_global < 1e-12
@@ -266,7 +267,7 @@ def check_remap2d_vs_clipping() -> tuple:
     worst = 0.0
     for mode in ("quad", "qc"):
         R = assemble_remap_2d(mesh, 1, 0.3, 0.0, v, mode)
-        rows = R[[3 * j + m for j in cells for m in range(3)]].toarray()
+        rows = R.tocsr()[[3 * j + m for j in cells for m in range(3)]].toarray()
         oracle = clipped_rows(mesh, 1, 0.3, 0.0, v, mode, cells).reshape(rows.shape)
         worst = max(worst, float(np.max(np.abs(rows - oracle))))
     return "2d remap vs curved clipping", worst < 1e-11, f"max difference {worst:.2e}"

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sldg.characteristics import GL_POINTS, VelocityField, constant_1d, sine_1d, zero_field
-from sldg.core import Basis, Mesh1D, gauss_rule, mass_vector, project, total_mass
-from sldg.remap1d import GeometryError, assemble_remap_1d, lagrange_weights, traced_interval_points
+from sldg.core import Basis, DGField, Mesh1D, gauss_rule, mass_vector, project, total_mass
+from sldg.remap1d import GeometryError, assemble_remap_1d, fit_tests, traced_interval_points
+from sldg.timeint import LinearSolverConfig, Stepper
 
 
 def project_translate_exact(u, shift):
@@ -34,31 +39,36 @@ def random_field(mesh, k, seed=0, base=np.sin):
     return u
 
 
-def oracle_loads(mesh, u, rc):
-    """Loads from the snapped feet ``rc``: test interpolants by np.polyfit
-    through the Gauss-Lobatto feet, each piece between grid lines
-    integrated by Gauss k + 2."""
-    k = u.k
+def oracle_matrix(mesh, k, rc):
+    """Dense remap operator from the snapped feet ``rc``: test interpolants
+    by np.polyfit through the Gauss-Lobatto feet, each piece between grid
+    lines integrated by Gauss k + 2."""
     basis = Basis(k, 1)
     src = basis.eval(np.array(GL_POINTS[k]))
     nodes, weights = gauss_rule(k + 2)
-    loads = np.zeros((mesh.n, k + 1))
+    d = k + 1
+    R = np.zeros((mesh.n * d, mesh.n * d))
     for j, r in enumerate(rc):
         feet = r[1:2] if k == 0 else r
-        fits = [np.polyfit(feet - r[0], src[:, m], k) for m in range(k + 1)]
+        fits = [np.polyfit(feet - r[0], src[:, m], k) for m in range(d)]
         cuts = np.unique(np.concatenate([r[[0, -1]], np.arange(np.ceil(r[0]), r[-1])]))
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             q = lo + (hi - lo) * (nodes + 0.5)
-            c = int(np.floor(0.5 * (lo + hi)))
-            uq = basis.eval(q - c - 0.5) @ u.coeffs[c % mesh.n]
+            c = int(np.floor(0.5 * (lo + hi))) % mesh.n
+            phi = basis.eval(q - np.floor(0.5 * (lo + hi)) - 0.5)
             psi = np.stack([np.polyval(f, q - r[0]) for f in fits], axis=-1)
-            loads[j] += (hi - lo) * mesh.dx * (weights * uq) @ psi
-    return loads
+            R[j * d:(j + 1) * d, c * d:(c + 1) * d] += (hi - lo) * mesh.dx * (weights[:, None] * psi).T @ phi
+    return R
+
+
+def oracle_loads(mesh, u, rc):
+    """Loads of ``u`` from ``oracle_matrix``."""
+    return (oracle_matrix(mesh, u.k, rc) @ u.coeffs.ravel()).reshape(mesh.n, -1)
 
 
 def mode0(R, k):
     """Mode-0 block entries: the lengths of the upstream pieces per (owner, cell)."""
-    return R[:: k + 1, :: k + 1].toarray()
+    return R.tocsr()[:: k + 1, :: k + 1].toarray()
 
 
 def test_zero_velocity_single_subinterval():
@@ -110,8 +120,12 @@ def test_periodic_wrap_assignment():
 def test_interpolation_conditions_variable_field(k):
     mesh = Mesh1D(0.0, 2 * np.pi, 12)
     rc = traced_interval_points(mesh, k, 0.3, 0.0, sine_1d())
-    feet = rc[5, 1:2] if k == 0 else rc[5]
-    assert np.max(np.abs(lagrange_weights(feet, feet) - np.eye(k + 1))) < 1e-12
+    feet = (rc[:, 1:2] if k == 0 else rc)[..., None]
+    src = np.array(GL_POINTS[k])
+    centers, cfit = fit_tests(feet, k, src[:, None])
+    basis = Basis(k, 1)
+    psi = basis.eval(feet[5, :, 0] - centers[5, 0]) @ cfit[5].T     # fitted tests at the feet
+    assert np.max(np.abs(psi - basis.eval(src))) < 1e-12
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -183,3 +197,54 @@ def test_overlong_upstream_rejected():
     stretch = VelocityField(1, lambda x, t: -(x - 0.5), (1.0,), False, "expanding")
     with pytest.raises(GeometryError):
         assemble_remap_1d(mesh, 1, 2.0, 0.0, stretch)
+
+
+def sine_series_velocity(c0, terms) -> VelocityField:
+    """a(x) = c0 + sum c_j sin(j x + phi_j), periodic on [0, 2 pi]."""
+
+    def fn(x, t):
+        a = c0 + np.zeros_like(np.asarray(x, float))
+        for j, (c, phi) in enumerate(terms, start=1):
+            a = a + c * np.sin(j * x + phi)
+        return a
+
+    return VelocityField(1, fn, (abs(c0) + sum(abs(c) for c, _ in terms),), False, "sine series")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    c0=st.floats(-1.0, 1.0),
+    terms=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * math.pi)),
+                   min_size=1, max_size=3),
+    n=st.integers(5, 40),
+    k=st.integers(0, 2),
+    cfl=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_remap_invariants_on_random_fields(c0, terms, n, k, cfl, seed):
+    """Random periodic velocities: the assembly raises GeometryError or
+    tiles the mesh, matches the polyfit oracle and conserves mass in a
+    diffusive DIRK2 step."""
+    mesh = Mesh1D(0.0, 2.0 * math.pi, n)
+    v = sine_series_velocity(c0, terms)
+    rate = v.max_speed[0] / mesh.dx
+    # a near-zero field would give a huge step, and no geometry is wrong there
+    dt = min(cfl / rate, 1.0) if rate > 0.0 else 1.0
+    rng = np.random.default_rng(seed)
+    try:
+        R = assemble_remap_1d(mesh, k, dt, 0.0, v)
+        rc = traced_interval_points(mesh, k, dt, 0.0, v)
+        lengths = mode0(R, k)
+        assert np.max(np.abs(lengths.sum(axis=1) - mesh.dx * (rc[:, -1] - rc[:, 0]))) <= 1e-12 * mesh.dx
+        assert np.max(np.abs(lengths.sum(axis=0) - mesh.dx)) <= 1e-12 * mesh.dx
+
+        dense = R.toarray()
+        assert np.max(np.abs(dense - oracle_matrix(mesh, k, rc))) <= 1e-12 * np.max(np.abs(dense))
+
+        u = DGField(mesh, k, rng.standard_normal((n, k + 1)))
+        stepper = Stepper(mesh, k, v, eps=0.5, tab="dirk2", solver=LinearSolverConfig("direct"))
+        after = stepper.step(u, dt)
+        scale = mesh.dx * np.sum(np.abs(u.coeffs[:, 0]))
+        assert abs(total_mass(after) - total_mass(u)) <= 1e-11 * scale
+    except GeometryError:
+        pass

@@ -13,13 +13,12 @@ from sldg.characteristics import (
     zero_field,
 )
 from sldg.core import Basis, Mesh2D, gauss_rule, mass_vector, project, total_mass
-from sldg.remap1d import GeometryError
+from sldg.remap1d import GeometryError, fit_tests
 from sldg.remap2d_matrix import (
     assemble_remap_2d,
     cell_edges,
     check_upstream_quads,
     curved_areas,
-    fit_tests,
     traced_cell_points,
     tracked_points,
 )
@@ -39,7 +38,7 @@ def overlap_areas(mesh, k, t_end, t_start, v, mode, j):
     d = Basis(k, 2).dim
     R = assemble_remap_2d(mesh, k, t_end, t_start, v, mode)
     oracle = clipped_rows(mesh, k, t_end, t_start, v, mode, [j])[0, 0, ::d]
-    return R[j * d, ::d].toarray().ravel(), oracle
+    return R.tocsr()[j * d, ::d].toarray().ravel(), oracle
 
 
 def support(areas, mesh):
@@ -80,8 +79,9 @@ def test_translation_quarter_dx_only():
 def fitted_tests(mesh, t_end, v, k, mode, j):
     """Cell j's traced feet and its fitted tests as a function of (x, y),
     both in index coordinates."""
-    feet = traced_cell_points(mesh, t_end, 0.0, v, tracked_points(mode, k))
-    centers, cfit = fit_tests(feet, k)
+    ref = tracked_points(mode, k)
+    feet = traced_cell_points(mesh, t_end, 0.0, v, ref)
+    centers, cfit = fit_tests(feet, k, np.array(ref))
     basis = Basis(k, 2)
 
     def psi(x, y):
@@ -207,7 +207,7 @@ def test_mass_tiling_periodic_field(mode):
     d = Basis(2, 2).dim
     R = assemble_remap_2d(mesh, 2, 0.3, 0.0, v, mode)
     oracle = clipped_rows(mesh, 2, 0.3, 0.0, v, mode, range(mesh.ncells))
-    for cover in (np.asarray(R[::d, ::d].sum(axis=0)).ravel(), oracle[:, 0, ::d].sum(axis=0)):
+    for cover in (np.asarray(R.tocsr()[::d, ::d].sum(axis=0)).ravel(), oracle[:, 0, ::d].sum(axis=0)):
         assert np.max(np.abs(cover - mesh.dx * mesh.dy)) < 1e-10
 
 

@@ -162,7 +162,7 @@ def test_solver_failure_raises(monkeypatch):
     mesh = Mesh1D(0.0, 2 * np.pi, 40)
     st = Stepper(mesh, 2, constant_1d(1.0), eps=1.0, solver=LinearSolverConfig("gmres", 1e-14))
     rng = np.random.default_rng(1)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match=r"1 restart cycles of 3 iterations at gamma=10\.0"):
         st.solve_stage(10.0, rng.standard_normal(120))
 
 
