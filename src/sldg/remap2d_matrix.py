@@ -294,8 +294,9 @@ def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
     seg = edges[eid]                                                        # (P, 2, 3)
     pix, piy = np.floor(snap_index(eval_quadratic(seg, 0.5 * (s0 + s1)[:, None]))).astype(int).T
 
-    # straight pieces carry a moment integrand of degree up to 2k+1 in the
-    # parameter, curved ones up to 4k+3; both node counts are exact for those
+    # the moments the blocks read (total degree <= 2k) have integrands of
+    # degree up to 2k+1 in the parameter on straight pieces and 4k+3 on
+    # curved ones; both node counts are exact for those
     nodes, weights = gauss_rule((k + 2) if mode != "qc" else (2 * k + 2))
     sg = 0.5 * (s0 + s1)[:, None] + (s1 - s0)[:, None] * nodes              # (P, G)
     x, y = eval_quadratic(seg[:, :, None, :], sg[:, None, :]).transpose(1, 0, 2)

@@ -55,6 +55,8 @@ def test_zero_velocity_identity(mode, k):
         assert support(areas, mesh).tolist() == [13]
         assert areas[13] == pytest.approx(mesh.dx * mesh.dy, rel=1e-13)
     R = assemble_remap_2d(mesh, k, 0.5, 0.0, zero_field(2), mode)
+    d = Basis(k, 2).dim
+    assert R.format == "bsr" and R.blocksize == (d, d)
     load = (R @ u.coeffs.ravel()).reshape(mesh.ncells, -1)[13]
     expect = Basis(k, 2).mass_diag() * mesh.dx * mesh.dy * u.coeffs[13]
     assert np.max(np.abs(load - expect)) < 1e-13 * max(1.0, np.max(np.abs(expect)))
