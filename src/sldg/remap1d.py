@@ -6,12 +6,12 @@ one overlap both factors are polynomials, so the integral is a fixed
 contraction of the overlap's monomial moments W[a] = int xi^a, with
 xi = r - col - 1/2 the background cell's frame (r the cell-index
 coordinate).  The assemblers (``assemble_remap_1d`` here,
-``assemble_remap_2d`` in ``remap2d_matrix``) compute only those moments;
-``remap_matrix`` sums them per (owner, background cell) and contracts each
-sum into one d x d block of the remap operator R (load = R @ coefficients),
-a ``bsr_matrix``: convert it with ``.tocsr()`` before slicing.  In 1D the
-tests interpolate through the feet of each cell's Gauss-Lobatto points and
-a piece's moments are closed form.
+``assemble_remap_2d`` in ``remap2d_matrix``) compute only moment tables;
+``remap_matrix`` sums signed copies of them per (owner, background cell)
+and contracts each sum into one d x d block of the remap operator R
+(load = R @ coefficients), a ``bsr_matrix``: convert it with ``.tocsr()``
+before slicing.  In 1D the tests interpolate through the feet of each
+cell's Gauss-Lobatto points and a piece's moments are closed form.
 """
 
 from __future__ import annotations
@@ -28,21 +28,25 @@ class GeometryError(RuntimeError):
 
 
 def fit_tests(feet: np.ndarray, k: int, src: np.ndarray):
-    """Least-squares fits Psi*(foot_q) = Psi(src_q) of every test basis function.
+    """Fits Psi*(foot_q) = Psi(src_q) of every test basis function.
 
     ``feet`` has shape (ncells, npts, ndim), in index coordinates, and
     ``src`` (npts, ndim) holds the reference positions they were traced
-    from; with npts = d (1D) the fit interpolates.  Returns the fit-frame
-    centers (the feet centroids, (ncells, ndim)) and coefficients
-    (ncells, m, d): test m's reconstruction in the basis centered there.
+    from.  With npts = d (1D) the square system is solved directly, an
+    interpolation; otherwise by least squares through the normal equations.
+    Returns the fit-frame centers (the feet centroids, (ncells, ndim)) and
+    coefficients (ncells, m, d): test m's reconstruction in the basis
+    centered there.
     """
     basis = Basis(k, feet.shape[-1])
     B = basis.eval(*src.T)                                   # (npts, m)
     centers = feet.mean(axis=1)
     A = basis.eval(*np.moveaxis(feet - centers[:, None, :], -1, 0))   # (C, npts, d)
-    G = np.einsum("cqd,cqe->cde", A, A)
-    rhs = np.einsum("cqd,qm->cdm", A, B)
-    sol = np.linalg.solve(G, rhs)                            # (C, d, m)
+    if A.shape[1] == A.shape[2]:
+        sol = np.linalg.solve(A, B)                          # (C, d, m)
+    else:
+        At = np.swapaxes(A, 1, 2)
+        sol = np.linalg.solve(At @ A, At @ B)
     return centers, np.ascontiguousarray(np.swapaxes(sol, 1, 2))
 
 
@@ -74,28 +78,31 @@ def _monomials(basis: Basis, s: np.ndarray) -> np.ndarray:
     return T
 
 
-def remap_matrix(mesh, k: int, owner: np.ndarray, col: np.ndarray, moments: np.ndarray,
-                 centers: np.ndarray, cfit: np.ndarray) -> sp.bsr_matrix:
-    """Block-sparse remap operator from the monomial moments of every overlap.
+def remap_matrix(mesh, k: int, owner: np.ndarray, col: np.ndarray, row: np.ndarray,
+                 weight: np.ndarray, moments: np.ndarray, centers: np.ndarray,
+                 cfit: np.ndarray) -> sp.bsr_matrix:
+    """Block-sparse remap operator from signed sums of overlap moment tables.
 
-    ``owner`` (P,) holds each overlap's upstream cell, ``col`` (P, ndim)
-    its background cell's unwrapped per-axis index, ``moments``
-    (P, 2k+1[, 2k+1]) its moments in that cell's frame times the cell
-    measure; ``centers`` and ``cfit`` come from ``fit_tests``.  The moments
-    W summed per (owner, unwrapped cell) give the block Psi H Phi^T of row
-    block ``owner``: the owner's tests re-expanded about the unwrapped
+    ``moments`` (M, 2k+1[, 2k+1]) holds monomial moment tables in a
+    background cell's frame times the cell measure.  Contribution i adds
+    ``weight[i] * moments[row[i]]`` to the block of upstream cell
+    ``owner[i]`` and the background cell whose unwrapped per-axis index is
+    ``col[i]`` (shape (n, ndim)); ``centers`` and ``cfit`` come from
+    ``fit_tests``.  One sparse aggregation product sums the tables W per
+    (owner, unwrapped cell), and each sum becomes the block Psi H Phi^T of
+    row block ``owner``: the owner's tests re-expanded about the unwrapped
     cell's center, the Hankel gather H[alpha, beta] = W[alpha + beta] and
     the basis's monomial coefficients.
     """
     basis = Basis(k, mesh.ndim)
     low = col.min(axis=0)
-    span = col.max(axis=0) - low + 1
-    key = np.ravel_multi_index((owner, *(col - low).T), (mesh.ncells, *span))
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    W = np.add.reduceat(moments[order], start, axis=0).reshape(start.size, -1)
-    o, c = owner[order[start]], col[order[start]]
+    span = tuple(col.max(axis=0) - low + 1)
+    key, inv = np.unique(np.ravel_multi_index((owner, *(col - low).T), (mesh.ncells, *span)),
+                         return_inverse=True)
+    agg = sp.csr_matrix((weight, (inv, row)), shape=(key.size, len(moments)))
+    W = agg @ moments.reshape(len(moments), -1)
+    o, *c = np.unravel_index(key, (mesh.ncells, *span))
+    c = np.stack(c, axis=1) + low
 
     e = np.array(basis.modes)
     hankel = np.ravel_multi_index(tuple(e[:, None, ax] + e[None, :, ax] for ax in range(mesh.ndim)),
@@ -151,4 +158,5 @@ def assemble_remap_1d(mesh: Mesh1D, k: int, t_end: float, t_start: float,
     lo, hi = np.maximum(rlo[owner], idx), np.minimum(rhi[owner], idx + 1)
     a = np.arange(1, 2 * k + 2)
     moments = (powers(hi - idx - 0.5, 2 * k + 2) - powers(lo - idx - 0.5, 2 * k + 2))[:, 1:] / a
-    return remap_matrix(mesh, k, owner, idx[:, None], mesh.dx * moments, centers, cfit)
+    return remap_matrix(mesh, k, owner, idx[:, None], np.arange(owner.size), np.ones(owner.size),
+                        mesh.dx * moments, centers, cfit)

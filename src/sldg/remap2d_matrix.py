@@ -16,12 +16,25 @@ all vertical grid lines become interior to Q's definition, so only the
 upstream boundary pieces themselves carry contour contributions.  Q at a
 point inside background column ix is a sum over the columns from the anchor
 to ix: full-column integrals for the columns left of ix and the partial
-integral inside ix.  So every boundary piece pairs with each of those
-columns, and each pair yields a table of monomial moments, integrated
-exactly along the piece, that ``remap1d.remap_matrix`` turns into R.  Any
-per-owner anchor gives the same loads because two anchors change Q by a
-function of y only, whose contour integral over the closed upstream
-boundary vanishes.
+integral inside ix.  Any per-owner anchor gives the same loads because two
+anchors change Q by a function of y only, whose contour integral over the
+closed upstream boundary vanishes.
+
+So each boundary piece needs two tables of monomial moments, integrated
+exactly along it: F[a, b], the contour integral of Q_a eta^b dy with Q_a
+the partial x-integral of xi^a in the piece's own column, and, for every
+full column left of it, q (x) E, where q_a is the x-integral of xi^a over
+a whole column and E[b] the contour integral of eta^b dy.  Full columns
+thus cost no node work.  ``remap1d.remap_matrix`` sums the tables per
+(owner, background cell) in one signed sparse product and turns the sums
+into R.
+
+An interior edge bounds two upstream cells in opposite directions, and
+both trace it from the same lattice points, so it is split and integrated
+once: its pieces serve the second cell with the sign flipped and the
+columns shifted by the whole index offset between the two cells' frames.
+Edges on the periodic seam join feet traced from different lattice
+points and stay with their one cell (``unique_edges``).
 
 The module also holds the geometry the clipping oracle in ``verify``
 takes from it: the traced and snapped cell points and the quadratic edge
@@ -264,6 +277,32 @@ def curved_areas(edges: np.ndarray) -> np.ndarray:
     return np.einsum("q,ceq,ceq->c", weights, x, dy)
 
 
+def unique_edges(mesh: Mesh2D, feet: np.ndarray):
+    """Every upstream cell edge once, with the cells it bounds.
+
+    Returns (first, side, twin, off): edge e is side ``side[e]`` (0 bottom,
+    1 right, 2 top, 3 left) of cell ``first[e]``.  The first ``twin.size``
+    edges are interior: cell (i, j)'s bottom edge for j > 0, which is the
+    top edge of (i, j - 1), then its right edge for i < nx - 1, the left
+    edge of (i + 1, j).  Their second owners ``twin`` hold the same feet in
+    the opposite direction, in frames shifted by the whole index offsets
+    ``off`` (twin's frame minus first's).  Seam edges (bottom of row 0,
+    right of column nx - 1, top of row ny - 1, left of column 0) join feet
+    traced from different lattice points, so each stays with its one cell.
+    """
+    nx, ny = mesh.shape
+    cells = np.arange(mesh.ncells)
+    i, j = cells % nx, cells // nx
+    below, right = cells[j > 0], cells[i < nx - 1]
+    seams = [cells[j == 0], cells[i == nx - 1], cells[j == ny - 1], cells[i == 0]]
+    first = np.concatenate([below, right, *seams])
+    side = np.repeat([0, 1, 0, 1, 2, 3], [below.size, right.size, *(c.size for c in seams)])
+    twin = np.concatenate([below - nx, right + 1])
+    off = np.rint(np.concatenate([feet[below - nx, 3] - feet[below, 0],
+                                  feet[right + 1, 0] - feet[right, 1]])).astype(int)
+    return first, side, twin, off
+
+
 def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
                       v: VelocityField, mode: str = "quad") -> sp.bsr_matrix:
     """Block-sparse 2D remap operator over global coefficients: load = R @ u.
@@ -282,17 +321,16 @@ def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
     folded = np.flatnonzero(curved_areas(edges) <= 0.0)
     if folded.size:
         raise GeometryError(f"curved upstream cell {folded[0]} has nonpositive area")
-    edges = edges.reshape(-1, 2, 3)
-    lo, hi = quadratic_range(edges)                                         # (E, 2)
-    lo, hi = lo.reshape(-1, 4, 2).min(axis=1), hi.reshape(-1, 4, 2).max(axis=1)
+    lo, hi = quadratic_range(edges)                                         # (C, 4, 2)
+    lo, hi = lo.min(axis=1), hi.max(axis=1)
     if np.max(hi - lo) >= min(mesh.shape):
         raise GeometryError("an upstream cell spans the whole domain (CFL too large)")
     anchor = np.floor(snap_index(lo[:, 0])).astype(int)
 
-    eid, s0, s1 = split_edges_at_gridlines(edges)
-    owner = eid // 4
-    seg = edges[eid]                                                        # (P, 2, 3)
-    pix, piy = np.floor(snap_index(eval_quadratic(seg, 0.5 * (s0 + s1)[:, None]))).astype(int).T
+    first, side, twin, off = unique_edges(mesh, feet)
+    eid, s0, s1 = split_edges_at_gridlines(edges[first, side])
+    seg = edges[first[eid], side[eid]]                                      # (P, 2, 3)
+    cell = np.floor(snap_index(eval_quadratic(seg, 0.5 * (s0 + s1)[:, None]))).astype(int)
 
     # the moments the blocks read (total degree <= 2k) have integrands of
     # degree up to 2k+1 in the parameter on straight pieces and 4k+3 on
@@ -303,21 +341,33 @@ def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
     # contour weight per node, with dx dy turning cell units into area
     wg = (mesh.dx * mesh.dy) * weights * (s1 - s0)[:, None]
     wg = wg * eval_quadratic_deriv(seg[:, 1, None, :], sg)
-    eta = powers(y - piy[:, None] - 0.5, 2 * k + 1)                          # (P, G, 2k+1)
-
-    # every piece pairs with each column from its owner's anchor to its own:
-    # Q there is the full-column integral left of the piece's column plus
-    # the partial integral inside it, up to the piece
-    ncols = pix - anchor[owner] + 1
-    if np.any(ncols < 1):
-        raise GeometryError("piece column left of its owner's anchor (geometry bug)")
-    piece = np.repeat(np.arange(eid.size), ncols)
-    col = anchor[owner[piece]] + np.arange(piece.size) - (np.cumsum(ncols) - ncols)[piece]
-    # a pair's moments: the contour integral of Q_a eta^b dy, where
-    # Q_a = int xi^a from the column's left edge to xi_hi (1/2 left of the piece)
-    xi_hi = np.where((col == pix[piece])[:, None], x[piece] - col[:, None] - 0.5, 0.5)
+    eta = powers(y - cell[:, 1, None] - 0.5, 2 * k + 1)                          # (P, G, 2k+1)
+    # a piece's moments in its own column: the contour integral of
+    # Q_a eta^b dy, Q_a = int xi^a from the column's left edge to the piece;
+    # in a full column Q_a is the constant q_a, so that table is q (x) E
     a = np.arange(1, 2 * k + 2)
-    Q = (powers(xi_hi, 2 * k + 2)[..., 1:] - (-0.5) ** a) / a
-    moments = np.swapaxes(wg[piece][..., None] * Q, 1, 2) @ eta[piece]
-    return remap_matrix(mesh, k, owner[piece], np.stack([col, piy[piece]], axis=1), moments,
-                        centers, cfit)
+    Q = (powers(x - cell[:, 0, None] - 0.5, 2 * k + 2)[..., 1:] - (-0.5) ** a) / a
+    own = np.swapaxes(wg[..., None] * Q, 1, 2) @ eta                         # (P, 2k+1, 2k+1)
+    q = (0.5 ** a - (-0.5) ** a) / a
+    full = q[:, None] * np.einsum("pg,pgb->pb", wg, eta)[:, None, :]
+    moments = np.concatenate([own, full])
+
+    # every piece serves its edge's first owner, and a shared edge's pieces
+    # also its twin, negated and shifted into the twin's frame
+    shared = np.flatnonzero(eid < twin.size)
+    piece = np.concatenate([np.arange(eid.size), shared])
+    owner = np.concatenate([first[eid], twin[eid[shared]]])
+    sign = np.concatenate([np.ones(eid.size), -np.ones(shared.size)])
+    cell = np.concatenate([cell, cell[shared] + off[eid[shared]]])
+
+    # Q at the piece sums the full columns from the owner's anchor to the
+    # piece's column and the partial integral inside it
+    nfull = cell[:, 0] - anchor[owner]
+    if np.any(nfull < 0):
+        raise GeometryError("piece column left of its owner's anchor (geometry bug)")
+    rep = np.repeat(np.arange(piece.size), nfull)
+    fx = anchor[owner[rep]] + np.arange(rep.size) - (np.cumsum(nfull) - nfull)[rep]
+    col = np.concatenate([cell, np.stack([fx, cell[rep, 1]], axis=1)])
+    return remap_matrix(mesh, k, np.concatenate([owner, owner[rep]]), col,
+                        np.concatenate([piece, eid.size + piece[rep]]),
+                        np.concatenate([sign, sign[rep]]), moments, centers, cfit)

@@ -21,6 +21,7 @@ from sldg.remap2d_matrix import (
     curved_areas,
     traced_cell_points,
     tracked_points,
+    unique_edges,
 )
 from sldg.verify import clip_to_rect, clipped_loads, clipped_rows, green_integral
 
@@ -349,3 +350,24 @@ def test_overlaps_wrap_periodically():
     for areas in overlap_areas(mesh, 1, 1.0, 0.0, v, "quad", 0):
         assert support(areas, mesh).tolist() == [2, 3]
         assert areas[[2, 3]] == pytest.approx([0.5 * mesh.dx * mesh.dy] * 2)
+
+
+def test_shared_edges_across_periodic_images():
+    """A translation carrying cells across the seam puts the two cells of
+    some interior edges in different periodic images, in both directions:
+    the edge's one integration must reach the second cell negated and
+    shifted into its frame."""
+    mesh = Mesh2D(0.0, 2 * np.pi, 0.0, 2 * np.pi, 6, 5)
+    k, mode = 2, "qc"
+    v = constant_2d(-2.3 * mesh.dx, -1.6 * mesh.dy)
+    feet = traced_cell_points(mesh, 1.0, 0.0, v, tracked_points(mode, k))
+    off = unique_edges(mesh, feet)[3]
+    assert np.any(off[:, 0] != 0) and np.any(off[:, 1] != 0)
+
+    R = assemble_remap_2d(mesh, k, 1.0, 0.0, v, mode)
+    d = Basis(k, 2).dim
+    area = mesh.dx * mesh.dy
+    cover = np.asarray(R.tocsr()[::d, ::d].sum(axis=0)).ravel()
+    assert np.max(np.abs(cover - area)) <= 1e-12 * area
+    oracle = clipped_rows(mesh, k, 1.0, 0.0, v, mode, range(mesh.ncells))
+    assert np.max(np.abs(R.toarray() - oracle.reshape(R.shape))) <= 1e-12 * np.max(np.abs(R.data))
