@@ -341,13 +341,13 @@ def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
     # contour weight per node, with dx dy turning cell units into area
     wg = (mesh.dx * mesh.dy) * weights * (s1 - s0)[:, None]
     wg = wg * eval_quadratic_deriv(seg[:, 1, None, :], sg)
-    eta = powers(y - cell[:, 1, None] - 0.5, 2 * k + 1)                          # (P, G, 2k+1)
+    eta = powers(y - cell[:, 1, None] - 0.5, 2 * k + 1)                     # (P, G, 2k+1)
     # a piece's moments in its own column: the contour integral of
     # Q_a eta^b dy, Q_a = int xi^a from the column's left edge to the piece;
     # in a full column Q_a is the constant q_a, so that table is q (x) E
     a = np.arange(1, 2 * k + 2)
     Q = (powers(x - cell[:, 0, None] - 0.5, 2 * k + 2)[..., 1:] - (-0.5) ** a) / a
-    own = np.swapaxes(wg[..., None] * Q, 1, 2) @ eta                         # (P, 2k+1, 2k+1)
+    own = np.swapaxes(wg[..., None] * Q, 1, 2) @ eta                        # (P, 2k+1, 2k+1)
     q = (0.5 ** a - (-0.5) ** a) / a
     full = q[:, None] * np.einsum("pg,pgb->pb", wg, eta)[:, None, :]
     moments = np.concatenate([own, full])
