@@ -321,22 +321,33 @@ def _cell_quad_points(mesh: Mesh, n: int):
     return pts, local, rule.weights
 
 
+@lru_cache(maxsize=8)
+def _projection(mesh: Mesh, k: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Every cell's k+2 Gauss points per axis, each (ncells, npts), and the
+    read-only operator P = (W Phi) G^-1, (npts, d), that maps point values
+    to modal coefficients."""
+    pts, local, weights = _cell_quad_points(mesh, k + 2)
+    phi = Basis(k, mesh.ndim).eval(*local.T)
+    wphi = weights[:, None] * phi
+    P = np.linalg.solve(phi.T @ wphi, wphi.T).T
+    for a in (*pts, P):
+        a.setflags(write=False)
+    return pts, P
+
+
 def project(f: Callable, mesh: Mesh, k: int, time: float = 0.0) -> DGField:
     """L2 projection of a scalar function onto the DG space.
 
     Uses k+2 Gauss points per direction and inverts the quadrature Gram
     matrix (analytically diagonal, numerically near-diagonal), so members of
-    the DG space are reproduced to rounding.
+    the DG space are reproduced to rounding.  The points and the projection
+    operator are built once per (mesh, k) and shared read-only, so each call
+    is one evaluation of ``f`` and one product; ``f`` must not write into its
+    arguments.
     """
     _check_degree(k)
-    pts, local, weights = _cell_quad_points(mesh, k + 2)
-    phi = Basis(k, mesh.ndim).eval(*local.T)
-    fvals = np.asarray(f(*pts), dtype=float)
-    wphi = weights[:, None] * phi
-    rhs = fvals @ wphi
-    gram = phi.T @ wphi
-    coeffs = np.linalg.solve(gram, rhs.T).T
-    return DGField(mesh, k, coeffs, time)
+    pts, P = _projection(mesh, k)
+    return DGField(mesh, k, np.asarray(f(*pts), dtype=float) @ P, time)
 
 
 def norms(field: DGField, exact: Callable, t: float | None = None) -> tuple[float, float, float]:

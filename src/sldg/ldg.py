@@ -49,32 +49,31 @@ class FluxChoice:
 class LDGOperator:
     """DG second-derivative operator in factored and assembled form.
 
-    ``grads`` and ``divs`` hold the one-sided first-derivative sweeps whose
-    composition is the operator; ``apply`` runs them sequentially, which
-    keeps constants in the nullspace to rounding (the pre-multiplied matrix
-    ``op`` trades that exactness for a single product usable for sparsity
-    inspection; it is built on first access).  ``symbol`` gives the same
-    operator in Fourier space.
+    ``grad`` stacks the one-sided gradient sweeps of every axis, an
+    (ndim n) x n matrix whose rows are the gradient's axis components, and
+    ``div`` lays the divergence sweeps side by side, n x (ndim n), so the
+    operator is ``div @ grad``.  ``apply`` runs the two products in turn,
+    which keeps constants in the nullspace to rounding (the pre-multiplied
+    matrix ``op`` trades that exactness for a single product usable for
+    sparsity inspection; it is built on first access).  ``symbol`` gives
+    the same operator in Fourier space.
     """
 
     mesh: Mesh1D | Mesh2D
     k: int
     flux: FluxChoice
-    grads: tuple[sp.csr_matrix, ...]
-    divs: tuple[sp.csr_matrix, ...]
+    grad: sp.csr_matrix
+    div: sp.csr_matrix
 
     @cached_property
     def op(self) -> sp.csr_matrix:
-        return sum(Dv @ G for G, Dv in zip(self.grads, self.divs)).tocsr()
+        return (self.div @ self.grad).tocsr()
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         return self.apply_flat(coeffs.ravel()).reshape(coeffs.shape)
 
     def apply_flat(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for G, Dv in zip(self.grads, self.divs):
-            out += Dv @ (G @ x)
-        return out
+        return self.div @ (self.grad @ x)
 
     def symbol(self) -> np.ndarray:
         """The operator's d x d block at every ``rfftn`` wavenumber of the cell grid.
@@ -167,13 +166,14 @@ def _axis_sides(mesh, flux: FluxChoice):
 
 
 def _assemble(mesh, k: int, flux: FluxChoice | None) -> LDGOperator:
-    """Gradient and divergence sweeps along every axis, composed into one operator."""
+    """Gradient and divergence sweeps along every axis, stacked into one of each."""
     flux = flux or FluxChoice()
-    grads, divs = [], []
-    for axis, u_side, q_side in _axis_sides(mesh, flux):
-        grads.append(_sweep_matrix(mesh, k, axis, u_side))
-        divs.append(_sweep_matrix(mesh, k, axis, q_side))
-    return LDGOperator(mesh, k, flux, tuple(grads), tuple(divs))
+    sides = list(_axis_sides(mesh, flux))
+    grad = sp.vstack([_sweep_matrix(mesh, k, axis, u_side) for axis, u_side, _ in sides],
+                     format="csr")
+    div = sp.hstack([_sweep_matrix(mesh, k, axis, q_side) for axis, _, q_side in sides],
+                    format="csr")
+    return LDGOperator(mesh, k, flux, grad, div)
 
 
 def assemble_ldg_1d(mesh: Mesh1D, k: int, flux: FluxChoice | None = None) -> LDGOperator:
@@ -196,8 +196,5 @@ def dissipativity_check(op: LDGOperator, coeffs: np.ndarray) -> tuple[float, flo
     m = mass_vector(op.mesh, op.k)
     u = coeffs.ravel()
     s = float(op.apply_flat(u) @ (m * u))
-    qsq = 0.0
-    for G in op.grads:
-        q = G @ u
-        qsq += float(q @ (m * q))
-    return s, qsq
+    q = (op.grad @ u).reshape(-1, u.size)
+    return s, float(np.sum(q * q * m))

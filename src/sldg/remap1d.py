@@ -16,6 +16,8 @@ cell's Gauss-Lobatto points and a piece's moments are closed form.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -58,24 +60,40 @@ def powers(x: np.ndarray, n: int) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
+# _SHIFT_1D[m, p, q]: coefficient of xi^p s^q in the 1D mode m of {1, xi, xi^2 - 1/12} at xi + s
+_SHIFT_1D = np.zeros((3, 3, 3))
+_SHIFT_1D[0, 0, 0] = _SHIFT_1D[1, 1, 0] = _SHIFT_1D[1, 0, 1] = 1.0
+_SHIFT_1D[2, 2, 0] = _SHIFT_1D[2, 0, 2] = 1.0
+_SHIFT_1D[2, 1, 1] = 2.0
+_SHIFT_1D[2, 0, 0] = -1.0 / 12.0
+
+
+@lru_cache(maxsize=None)
+def _shift_table(k: int, ndim: int) -> np.ndarray:
+    """C[beta, n d + alpha]: coefficient of s^beta xi^alpha in basis function n at xi + s.
+
+    Read-only, (d, d d); alpha and beta both run over the exponents of ``Basis.modes``.
+    """
+    e = np.array(Basis(k, ndim).modes)
+    C = np.prod([_SHIFT_1D[np.ix_(e[:, ax], e[:, ax], e[:, ax])] for ax in range(ndim)], axis=0)
+    C = np.ascontiguousarray(C.transpose(2, 0, 1).reshape(len(e), -1))
+    C.setflags(write=False)
+    return C
+
+
 def _monomials(basis: Basis, s: np.ndarray) -> np.ndarray:
     """T[..., n, alpha]: coefficients of basis function n at xi + s over the monomials xi^alpha.
 
     The exponents alpha run over ``basis.modes``, whose per-axis mode
-    indices are also the leading exponents, so they cover P^k.  Each axis
-    factor is a 1D mode {1, xi, xi^2 - 1/12} shifted by s.
+    indices are also the leading exponents, so they cover P^k.  Each entry
+    is a polynomial in the shift s over the same exponents, so T is one
+    product of the monomials s^beta with the cached ``_shift_table``.
     """
     e = np.array(basis.modes)
-    T = 1.0
+    m = 1.0
     for ax in range(basis.ndim):
-        s_ax = s[..., ax]
-        S = np.zeros(s_ax.shape + (3, 3))                    # S[mode, power]
-        S[..., 0, 0] = S[..., 1, 1] = S[..., 2, 2] = 1.0
-        S[..., 1, 0] = s_ax
-        S[..., 2, 0] = s_ax * s_ax - 1.0 / 12.0
-        S[..., 2, 1] = 2.0 * s_ax
-        T = T * S[..., e[:, None, ax], e[None, :, ax]]
-    return T
+        m = m * powers(s[..., ax], basis.k + 1)[..., e[:, ax]]
+    return (m @ _shift_table(basis.k, basis.ndim)).reshape(s.shape[:-1] + (basis.dim,) * 2)
 
 
 def remap_matrix(mesh, k: int, owner: np.ndarray, col: np.ndarray, row: np.ndarray,

@@ -288,8 +288,8 @@ class Stepper:
             dtype=np.float64,
         )
         rtol = self.solver.tol / tighten
-        x, info = spla.gmres(op, b, x0=x0, rtol=rtol, atol=0.25 * rtol * np.linalg.norm(b),
-                             restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
+        x, info = spla.gmres(op, b, x0=x0, rtol=rtol, restart=GMRES_RESTART,
+                             maxiter=GMRES_MAXITER)
         if info > 0:
             resid = np.linalg.norm(self._apply_system(gamma, x) - b)
             raise SolverError(f"GMRES did not converge in {info} restart cycles of {GMRES_RESTART} "

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from sldg.core import (
     Mesh1D,
     Mesh2D,
     QuadratureRule,
+    _cell_quad_points,
+    _projection,
     gauss_rule,
     norms,
     project,
@@ -86,6 +90,45 @@ def test_projection_idempotent():
     u = project(np.sin, m, 2)
     again = project(lambda x: u.evaluate(x), m, 2)
     assert np.max(np.abs(again.coeffs - u.coeffs)) < 1e-13
+
+
+def project_reference(f, mesh, k):
+    """Uncached projection: the same points, with a Gram solve on every call."""
+    pts, local, weights = _cell_quad_points(mesh, k + 2)
+    phi = Basis(k, mesh.ndim).eval(*local.T)
+    wphi = weights[:, None] * phi
+    return np.linalg.solve(phi.T @ wphi, (f(*pts) @ wphi).T).T
+
+
+_PROJECT_MESHES = [Mesh1D(-1.0, 2.5, 13), Mesh2D(-1.0, 2.5, 0.5, 2.0, 7, 5)]
+
+
+def _smooth(*x):
+    return np.sin(3.0 * x[0]) * np.exp(x[-1]) + x[0] ** 3
+
+
+@pytest.mark.parametrize("mesh", _PROJECT_MESHES, ids=["1d", "2d"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_project_matches_uncached_reference(mesh, k):
+    ref = project_reference(_smooth, mesh, k)
+    u = project(_smooth, mesh, k)
+    assert np.max(np.abs(u.coeffs - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # a second call and an equal but distinct mesh share the cached operator
+    twin = replace(mesh)
+    assert twin is not mesh and _projection(twin, k) is _projection(mesh, k)
+    assert np.array_equal(project(_smooth, twin, k).coeffs, u.coeffs)
+
+
+@pytest.mark.parametrize("mesh", _PROJECT_MESHES, ids=["1d", "2d"])
+def test_project_source_cannot_write_cached_points(mesh):
+    def writes(*x):
+        x[0] += 1.0
+        return x[0]
+
+    before = project(_smooth, mesh, 2).coeffs
+    with pytest.raises(ValueError):
+        project(writes, mesh, 2)
+    assert np.array_equal(project(_smooth, mesh, 2).coeffs, before)
 
 
 def test_project_rejects_bad_degree():

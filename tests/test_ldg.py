@@ -44,7 +44,7 @@ def test_gradient_of_linear_data():
     mesh = Mesh1D(0.0, 3.0, 3)
     u = project(lambda x: x, mesh, 1)
     op = assemble_ldg_1d(mesh, 1)
-    q = (op.grads[0] @ u.coeffs.ravel()).reshape(3, 2)
+    q = (op.grad @ u.coeffs.ravel()).reshape(3, 2)
     # middle cell sees only interior traces, so q = u_x = 1 exactly
     assert np.allclose(q[1], [1.0, 0.0], atol=1e-13)
 
@@ -220,3 +220,21 @@ def test_symbol_matches_sweeps(mesh, k):
         y = np.fft.irfftn((sym @ xh[..., None])[..., 0], s=shape, axes=axes).ravel()
         ref = op.apply_flat(x)
         assert np.max(np.abs(y - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mesh", [Mesh1D(0.0, 2 * np.pi, 9), Mesh2D(0.0, 2 * np.pi, 0.0, 3.0, 6, 5)],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("orient", ["uminus_qplus", "uplus_qminus"])
+def test_stacked_sweeps_match_per_axis_sum(mesh, k, orient):
+    # the stacked div @ (grad @ x) equals the sum over axes of D_a (G_a x)
+    # built from the per-axis sweeps
+    from sldg.ldg import _axis_sides, _sweep_matrix
+
+    flux = FluxChoice(orient, orient)
+    op = (assemble_ldg_1d, assemble_ldg_2d)[mesh.ndim - 1](mesh, k, flux)
+    x = np.random.default_rng(k).standard_normal(op.grad.shape[1])
+    ref = sum(_sweep_matrix(mesh, k, axis, q_side) @ (_sweep_matrix(mesh, k, axis, u_side) @ x)
+              for axis, u_side, q_side in _axis_sides(mesh, flux))
+    assert op.grad.shape == (mesh.ndim * x.size, x.size)
+    assert np.max(np.abs(op.apply_flat(x) - ref)) <= 1e-15 * np.max(np.abs(ref))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from sldg.characteristics import GL_POINTS, VelocityField, constant_1d, sine_1d, zero_field
 from sldg.core import Basis, DGField, Mesh1D, gauss_rule, mass_vector, project, total_mass
-from sldg.remap1d import GeometryError, assemble_remap_1d, fit_tests, traced_interval_points
+from sldg.remap1d import (GeometryError, _monomials, assemble_remap_1d, fit_tests,
+                          traced_interval_points)
 from sldg.timeint import LinearSolverConfig, Stepper
 
 
@@ -70,6 +71,31 @@ def oracle_loads(mesh, u, rc):
 def mode0(R, k):
     """Mode-0 block entries: the lengths of the upstream pieces per (owner, cell)."""
     return R.tocsr()[:: k + 1, :: k + 1].toarray()
+
+
+def monomials_gather(basis, s):
+    """Per-axis gather of the shifted 1D modes, one (3, 3) table per point and axis."""
+    e = np.array(basis.modes)
+    T = 1.0
+    for ax in range(basis.ndim):
+        s_ax = s[..., ax]
+        S = np.zeros(s_ax.shape + (3, 3))                    # S[mode, power]
+        S[..., 0, 0] = S[..., 1, 1] = S[..., 2, 2] = 1.0
+        S[..., 1, 0] = s_ax
+        S[..., 2, 0] = s_ax * s_ax - 1.0 / 12.0
+        S[..., 2, 1] = 2.0 * s_ax
+        T = T * S[..., e[:, None, ax], e[None, :, ax]]
+    return T
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_monomials_match_per_axis_gather(ndim, k):
+    basis = Basis(k, ndim)
+    s = np.random.default_rng(10 * ndim + k).uniform(-5.0, 5.0, (1000, ndim))
+    np.testing.assert_array_max_ulp(_monomials(basis, s), monomials_gather(basis, s), maxulp=1)
+    np.testing.assert_array_max_ulp(_monomials(basis, np.zeros(ndim)),
+                                    monomials_gather(basis, np.zeros(ndim)), maxulp=1)
 
 
 def test_zero_velocity_single_subinterval():
