@@ -9,12 +9,22 @@ the tableaus are stiffly accurate, the final stage is the step solution.
 Upstream geometries (one sparse remap operator per ordered pair of stage
 times) are cached and, for velocity fields without explicit time dependence,
 reused across steps.  The stage systems ``(I - gamma D) x = b`` are solved
-either by unpreconditioned GMRES on the factored LDG sweeps or, with the
-``direct`` solver, exactly: on the uniform periodic mesh ``I - gamma D`` is
-block-circulant, so ``rfftn`` over the cells splits it into one d x d block
-per wavenumber.  The block inverses are computed on the first direct solve
-for each distinct diagonal coefficient and cached; a solve is then a forward
-transform, a batched block product and an inverse transform.
+either by unpreconditioned restarted GMRES on the factored LDG sweeps or,
+with the ``direct`` solver, exactly: on the uniform periodic mesh
+``I - gamma D`` is block-circulant, so ``rfftn`` over the cells splits it
+into one d x d block per wavenumber.  The block inverses are computed on the
+first direct solve for each distinct diagonal coefficient and cached; a
+solve is then a forward transform, a batched block product and an inverse
+transform.
+
+``gmres`` is this module's own restarted GMRES.  Its Arnoldi step is the
+inverse compact-WY form of modified Gram-Schmidt (ICWY-MGS; Swirydowicz,
+Langou, Ananthan, Yang & Thomas, NLAA 28:e2343, 2021): it yields MGS's
+Hessenberg coefficients in exact arithmetic, with MGS's loss of
+orthogonality, from one block product against the basis and one update,
+instead of one dot and one axpy per basis vector.  Its stopping rule and
+restart logic are those of ``scipy.sparse.linalg.gmres``, which the tests
+use as its reference.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  unused here; perfbench/tracing.py proxies this name
 
 from .characteristics import VelocityField
 from .core import DGField, mass_vector, project, total_mass
@@ -116,10 +126,11 @@ GMRES_MAXITER = 100
 class LinearSolverConfig:
     """Stage-system solver selection.
 
-    ``gmres`` is unpreconditioned restarted GMRES with relative threshold
-    ``tol`` (the paper's solver), restarted every ``GMRES_RESTART``
-    iterations; ``direct`` is the exact block-diagonal Fourier solve of the
-    periodic system.  Both must meet ``tol`` on the residual.
+    ``gmres`` is the paper's solver: unpreconditioned GMRES (this module's
+    ``gmres``) with relative threshold ``tol``, restarted every
+    ``GMRES_RESTART`` iterations; ``direct`` is the exact block-diagonal
+    Fourier solve of the periodic system.  Both must meet ``tol`` on the
+    residual, so ``tol`` must be positive and finite.
     """
 
     method: str = "gmres"
@@ -128,8 +139,99 @@ class LinearSolverConfig:
     def __post_init__(self):
         if self.method not in ("gmres", "direct"):
             raise ValueError("solver method must be 'gmres' or 'direct'")
-        if self.tol <= 0.0:
-            raise ValueError("solver tolerance must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"solver tolerance must be positive and finite, got {self.tol!r}")
+
+
+def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray, x0: np.ndarray | None,
+          rtol: float, restart: int, maxiter: int) -> tuple[np.ndarray, int, bool]:
+    """Restarted GMRES for A x = b, with A given by ``matvec``.
+
+    Returns x, the number of Arnoldi iterations and whether the true
+    residual meets ``|b - A x| <= rtol |b|``.  The stopping rule is scipy's:
+    a cycle ends when its least-squares residual estimate meets an inner
+    threshold (``rtol |b|`` at first, rescaled after each restart by how far
+    the estimate and the true residual drifted apart), at an exact
+    breakdown, or after ``restart`` iterations; after each cycle the true
+    residual decides.  A zero b gives x = 0 without iterating.
+
+    The basis V is one (restart + 1) x n array and each Arnoldi step is
+    ICWY-MGS: ``w = A v_j`` is written into row j + 1, one product against
+    V gives both V^T w and the new row of L, the strict lower triangle of
+    V V^T, and h solves ``(I + L) h = V^T w`` through the inverse
+    T = (I + L)^-1, which grows by one row per iteration.  The Givens
+    rotations of the least-squares problem act on Python floats.
+    """
+    n = b.size
+    bnrm = float(np.linalg.norm(b))
+    if bnrm == 0.0:
+        return np.zeros(n), 0, True
+    atol = rtol * bnrm
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    r = b - matvec(x) if x.any() else b.copy()
+    rnorm = float(np.linalg.norm(r))
+    if rnorm < atol:
+        return x, 0, True
+    restart = min(restart, n)
+    eps = np.finfo(float).eps
+    V = np.empty((restart + 1, n))
+    T = np.zeros((restart, restart))
+    ptol, factor = min(bnrm, atol), 1.0
+    its = 0
+    for _ in range(maxiter):
+        np.multiply(r, 1.0 / rnorm, out=V[0])
+        g = [rnorm]          # rotated right-hand side of the least-squares problem
+        rots = []            # Givens rotations (c, s)
+        R = []               # columns of the triangular factor
+        breakdown = False
+        for j in range(restart):
+            w = V[j + 1]
+            w[:] = matvec(V[j])
+            P = V[j:j + 2] @ V[:j + 2].T
+            T[j, :j] = -(P[0, :j] @ T[:j, :j])
+            T[j, j] = 1.0
+            h = T[:j + 1, :j + 1] @ P[1, :j + 1]
+            w -= h @ V[:j + 1]
+            h1 = float(np.linalg.norm(w))
+            if h1 <= eps * math.sqrt(P[1, j + 1]):
+                h1, breakdown = 0.0, True
+            else:
+                w *= 1.0 / h1
+            col = h.tolist()
+            col.append(h1)
+            for i, (c, s) in enumerate(rots):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            mag = math.hypot(col[j], col[j + 1])
+            c, s = (col[j] / mag, col[j + 1] / mag) if mag else (1.0, 0.0)
+            rots.append((c, s))
+            col[j] = mag
+            R.append(col[:j + 1])
+            g.append(-s * g[j])
+            g[j] *= c
+            presid = abs(g[j + 1])
+            its += 1
+            if presid <= ptol or breakdown:
+                break
+        # back substitution on the triangular factor, skipping a zero pivot
+        # the way scipy does when the Hessenberg matrix is singular
+        if R[j][j] == 0.0:
+            g[j] = 0.0
+        y = g[:j + 1]
+        for i in range(j, -1, -1):
+            if y[i] != 0.0:
+                y[i] /= R[i][i]
+                for m in range(i):
+                    y[m] -= y[i] * R[i][m]
+        x += np.array(y) @ V[:j + 1]
+        r = b - matvec(x)
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= atol:
+            return x, its, True
+        if breakdown:
+            break
+        factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
+        ptol = presid * min(factor, atol / rnorm)
+    return x, its, False
 
 
 class SolverError(RuntimeError):
@@ -187,12 +289,15 @@ class Stepper:
         self.tableau = tableau(tab) if isinstance(tab, str) else tab
         self.tableau.validate()
         self.solver = solver or LinearSolverConfig()
+        if mode not in ("quad", "qc"):
+            raise ValueError(f"upstream cell mode must be 'quad' or 'qc', got {mode!r}")
         self.mode = mode
         self.mass = mass_vector(mesh, k)
         self.ldg: LDGOperator = (assemble_ldg_1d, assemble_ldg_2d)[self.ndim - 1](mesh, k, flux)
         self._remap_cache: dict = {}
         self._system_cache: dict = {}
         self.last_residual = 0.0
+        self.last_iterations = 0
         self.last_dx = None
         self.source_mass = 0.0
 
@@ -229,22 +334,28 @@ class Stepper:
 
         ``last_dx`` keeps D x from the residual check (None when gamma is
         0 and no residual is formed), so callers need not apply D again.
+        ``last_residual`` is that residual's norm and ``last_iterations``
+        the number of GMRES iterations the solve took, the retry at a
+        tighter threshold included (0 for ``direct`` and for gamma = 0).
         """
         self.last_dx = None
         if gamma == 0.0:
             self.last_residual = 0.0
+            self.last_iterations = 0
             return rhs / self.mass
         b = rhs / self.mass
+        its = 0
         if self.solver.method == "direct":
             x = self._fourier_solve(gamma, b)
         else:
-            x = self._gmres(gamma, b)
+            x, its = self._gmres(gamma, b)
         dx = self.ldg.apply_flat(x)
         resid = np.linalg.norm(self.mass * (x - gamma * dx) - rhs)
         bound = self.solver.tol * max(1.0, np.linalg.norm(rhs))
         if resid > bound:
             if self.solver.method == "gmres":
-                x = self._gmres(gamma, b, tighten=100.0, x0=x)
+                x, more = self._gmres(gamma, b, tighten=100.0, x0=x)
+                its += more
                 dx = self.ldg.apply_flat(x)
                 resid = np.linalg.norm(self.mass * (x - gamma * dx) - rhs)
             if resid > bound:
@@ -252,6 +363,7 @@ class Stepper:
                     f"stage solve residual {resid:.3e} exceeds {bound:.3e}"
                 )
         self.last_residual = float(resid)
+        self.last_iterations = its
         self.last_dx = dx
         return x
 
@@ -281,22 +393,17 @@ class Stepper:
             self._system_cache[key] = inv
         return inv
 
-    def _gmres(self, gamma: float, b: np.ndarray, tighten: float = 1.0, x0=None) -> np.ndarray:
-        op = spla.LinearOperator(
-            (b.size, b.size),
-            matvec=lambda x: self._apply_system(gamma, np.asarray(x, dtype=float)),
-            dtype=np.float64,
-        )
-        rtol = self.solver.tol / tighten
-        x, info = spla.gmres(op, b, x0=x0, rtol=rtol, restart=GMRES_RESTART,
-                             maxiter=GMRES_MAXITER)
-        if info > 0:
+    def _gmres(self, gamma: float, b: np.ndarray, tighten: float = 1.0,
+               x0=None) -> tuple[np.ndarray, int]:
+        """GMRES solution of (I - gamma D) x = b and its iteration count."""
+        x, its, converged = gmres(partial(self._apply_system, gamma), b, x0,
+                                  self.solver.tol / tighten, GMRES_RESTART, GMRES_MAXITER)
+        if not converged:
             resid = np.linalg.norm(self._apply_system(gamma, x) - b)
-            raise SolverError(f"GMRES did not converge in {info} restart cycles of {GMRES_RESTART} "
-                              f"iterations at gamma={float(gamma)!r}, residual {resid:.3e}")
-        if info < 0:
-            raise SolverError("GMRES reported an illegal input or breakdown")
-        return x
+            raise SolverError(f"GMRES did not converge in {GMRES_MAXITER} restart cycles of "
+                              f"{GMRES_RESTART} iterations at gamma={float(gamma)!r}, "
+                              f"residual {resid:.3e}")
+        return x, its
 
     # -- stepping -------------------------------------------------------------
 

@@ -254,3 +254,9 @@ def test_cli_bad_config_rejected(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("nonsense = 1\n")
     assert main(["spatial", "--config", str(cfgfile)]) == 2
+    # a bogus upstream mode is rejected in 1D too, where no 2D remap reads it
+    cfgfile.write_text("mode = bogus\nmeshes = 10\nsolver = direct\n")
+    assert main(["spatial", "--config", str(cfgfile)]) == 2
+    for tol in ("nan", "inf", "0"):
+        assert main(["spatial", "--meshes", "10", "--solver", "direct", "--gmres-tol", tol]) == 2
+    assert "positive and finite" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -141,6 +142,7 @@ def test_solve_stage_zero_eps_is_mass_inverse():
     x = st.solve_stage(0.0, rhs)
     assert np.allclose(x, rhs / mass_vector(mesh, 1))
     assert st.last_residual == 0.0
+    assert st.last_iterations == 0
 
 
 def test_solve_stage_residual_contract():
@@ -154,6 +156,96 @@ def test_solve_stage_residual_contract():
     x = st.solve_stage(gamma, rhs)
     resid = np.linalg.norm(st.mass * st._apply_system(gamma, x) - rhs)
     assert resid <= tol * max(1.0, np.linalg.norm(rhs))
+    assert st.last_iterations > 0
+
+
+def _scipy_gmres(matvec, b, x0, rtol, restart, maxiter):
+    """scipy's GMRES on the same operator: x, iterations and whether it converged."""
+    count = []
+    op = spla.LinearOperator((b.size, b.size), matvec=matvec, dtype=np.float64)
+    x, info = spla.gmres(op, b, x0=x0, rtol=rtol, restart=restart, maxiter=maxiter,
+                         callback=count.append, callback_type="pr_norm")
+    return x, len(count), info == 0
+
+
+def _assert_same_solve(ours, ref):
+    x, its, converged = ours
+    x_ref, its_ref, converged_ref = ref
+    assert (its, converged) == (its_ref, converged_ref)
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_gmres_matches_scipy_on_1d_stage():
+    # the first backward-Euler stage system of test_mass_conservation_1d
+    mesh = Mesh1D(0.0, 2 * np.pi, 24)
+    st = Stepper(mesh, 2, sine_1d(), eps=0.7, tab="be", solver=LinearSolverConfig("gmres", 1e-12))
+    rng = np.random.default_rng(5)
+    u = project(np.sin, mesh, 2)
+    u.coeffs += 0.2 * rng.standard_normal(u.coeffs.shape)
+    rhs = st._apply_remap(st._remap(0.2, 0.0), u.coeffs)
+    gamma = 0.7 * 0.2
+    b = rhs / st.mass
+    ref = _scipy_gmres(partial(st._apply_system, gamma), b, None, 1e-12, 60, 100)
+    assert ref[1] == 47
+    x = st.solve_stage(gamma, rhs)
+    _assert_same_solve((x, st.last_iterations, True), ref)
+
+
+def test_gmres_restarts_match_scipy_2d(monkeypatch):
+    # a restart of 4 makes every solve run several cycles, each warm-started
+    # from the last; the explicit x0 is the retry's warm start
+    monkeypatch.setattr(timeint, "GMRES_RESTART", 4)
+    mesh = Mesh2D(0.0, 2 * np.pi, 0.0, 2 * np.pi, 6, 5)
+    st = Stepper(mesh, 1, constant_2d(1.0, 0.5), eps=1.0, solver=LinearSolverConfig("gmres", 1e-12))
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(st.mass.size)
+    for gamma in (0.02, 0.1):
+        for x0 in (None, rng.standard_normal(b.size)):
+            ref = _scipy_gmres(partial(st._apply_system, gamma), b, x0, 1e-12, 4,
+                               timeint.GMRES_MAXITER)
+            assert ref[1] > 3 * 4
+            x, its = st._gmres(gamma, b, x0=x0)
+            _assert_same_solve((x, its, True), ref)
+
+
+def test_gmres_zero_rhs():
+    b = np.zeros(6)
+    x0 = np.ones(6)
+    ours = timeint.gmres(lambda v: 2.0 * v, b, x0, 1e-12, 60, 100)
+    _assert_same_solve(ours, _scipy_gmres(lambda v: 2.0 * v, b, x0, 1e-12, 60, 100))
+    assert ours[1] == 0 and not ours[0].any()
+
+
+def test_gmres_exact_breakdown():
+    # n < restart.  A cyclic shift of three unknowns beside 2 I: from e_0
+    # the Krylov space closes exactly after three iterations, the third
+    # w = A v_2 = v_0 orthogonalizes to zero, and the solve is exact
+    A = np.zeros((7, 7))
+    A[[1, 2, 0], [0, 1, 2]] = 1.0
+    A[3:, 3:] = 2.0 * np.eye(4)
+    b = np.eye(7)[0]
+    ours = timeint.gmres(lambda v: A @ v, b, None, 1e-12, 60, 100)
+    _assert_same_solve(ours, _scipy_gmres(lambda v: A @ v, b, None, 1e-12, 60, 100))
+    assert ours[1] == 3 and np.array_equal(A @ ours[0], b)
+    # a breakdown on a singular system ends the solve unconverged
+    N = np.array([[0.0, 1.0], [0.0, 0.0]])
+    ours = timeint.gmres(lambda v: N @ v, np.eye(2)[0], None, 1e-12, 60, 100)
+    _assert_same_solve(ours, _scipy_gmres(lambda v: N @ v, np.eye(2)[0], None, 1e-12, 60, 100))
+    assert ours[1:] == (1, False)
+
+
+def test_solver_config_rejects_bad_tolerance():
+    for tol in (0.0, -1e-12, float("nan"), float("inf")):
+        for method in ("gmres", "direct"):
+            with pytest.raises(ValueError, match="positive and finite"):
+                LinearSolverConfig(method, tol)
+
+
+def test_stepper_rejects_unknown_mode():
+    for mesh, v in ((Mesh1D(0.0, 1.0, 4), constant_1d(1.0)),
+                    (Mesh2D(0.0, 1.0, 0.0, 1.0, 4, 4), constant_2d(1.0, 0.5))):
+        with pytest.raises(ValueError, match="'bogus'"):
+            Stepper(mesh, 1, v, mode="bogus")
 
 
 def test_solver_failure_raises(monkeypatch):
@@ -328,6 +420,7 @@ def test_direct_solve_preserves_mass(mesh):
         x = st.solve_stage(gamma, st.mass * b)
         m_b = total_mass(DGField(mesh, 2, b))
         assert abs(total_mass(DGField(mesh, 2, x)) - m_b) <= 1e-14 * abs(m_b)
+        assert st.last_iterations == 0
 
 
 def test_direct_solve_names_singular_block():
