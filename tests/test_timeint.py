@@ -208,6 +208,21 @@ def test_gmres_restarts_match_scipy_2d(monkeypatch):
             _assert_same_solve((x, its, True), ref)
 
 
+def test_gmres_rescales_inner_threshold_like_scipy():
+    # rounding every product to float32 stalls the true residual near 1e-7
+    # while each cycle's estimate keeps falling, so every restart rescales
+    # the inner threshold; a fixed threshold takes 52 iterations here, not 60
+    d = np.linspace(1.0, 3.0, 40)
+    b = np.cos(np.arange(40.0))
+
+    def matvec(v):
+        return (d * v).astype(np.float32).astype(float)
+
+    ours = timeint.gmres(matvec, b, None, 1e-12, 10, 6)
+    _assert_same_solve(ours, _scipy_gmres(matvec, b, None, 1e-12, 10, 6))
+    assert ours[1:] == (60, False)
+
+
 def test_gmres_zero_rhs():
     b = np.zeros(6)
     x0 = np.ones(6)
