@@ -22,8 +22,10 @@ from .core import cell_multi_index
 # For k = 0 the single point is the cell midpoint.
 GL_POINTS = {0: (0.0,), 1: (-0.5, 0.5), 2: (-0.5, 0.0, 0.5)}
 
-# Traced feet within this fraction of a cell width of a grid line are snapped
-# onto it, so cell assignment is stable and zero-length slivers cannot appear.
+# The one geometric tolerance, in cell widths.  Traced feet within it of the
+# half-cell lattice they are traced from are snapped onto it, so a foot that
+# lands on a grid line or a cell midpoint lands there exactly and cell
+# assignment is stable; the 2D edge splitter merges crossings this close.
 SNAP_TOL = 1e-12
 
 # Reference positions of the traced cell points in 2D: counterclockwise
@@ -144,8 +146,12 @@ def trace_back(points, t_end: float, t_start: float, v: VelocityField, substeps:
 
 
 def snap_index(r: np.ndarray) -> np.ndarray:
-    """Snap index-space coordinates within SNAP_TOL of a grid line onto it."""
-    rounded = np.round(r)
+    """Snap index-space coordinates within SNAP_TOL of the half-cell lattice onto it.
+
+    A point snapped onto a cell midpoint stays inside its cell, so cell
+    assignment by ``floor`` is that of snapping onto grid lines alone.
+    """
+    rounded = np.round(2.0 * r) / 2.0
     return np.where(np.abs(r - rounded) < SNAP_TOL, rounded, r)
 
 

@@ -36,12 +36,18 @@ columns shifted by the whole index offset between the two cells' frames.
 Edges on the periodic seam join feet traced from different lattice
 points and stay with their one cell (``unique_edges``).
 
+Edges are quadratic parametrizations (x(s), y(s)) for s in [0, 1];
+straight segments are the degenerate case with vanishing quadratic part.
+``split_edges_at_gridlines`` cuts each edge where it crosses a grid line:
+one sort orders an edge's crossings of every line it reaches, a crossing
+within SNAP_TOL of the one before it is the same grid vertex, and
+crossings within END_MARGIN of the edge's ends are dropped.  Each piece
+then lies in one background cell, the one its snapped midpoint is in.
+
 The module also holds the geometry the clipping oracle in ``verify``
-takes from it: the traced and snapped cell points and the quadratic edge
-curves.  Edges are quadratic parametrizations (x(s), y(s)) for s in
-[0, 1]; straight segments are the degenerate case with vanishing quadratic
-part.  Upstream cells are rejected when their corner quadrilateral is
-flipped or self-crossing, or when their curved area is not positive.
+takes from it: the traced and snapped cell points and the edge curves.
+Upstream cells are rejected when their corner quadrilateral is flipped or
+self-crossing, or when their curved area is not positive.
 """
 
 from __future__ import annotations
@@ -49,19 +55,16 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .characteristics import (
-    CELL_POINTS_4,
-    CELL_POINTS_9,
-    VelocityField,
-    cell_lattice,
-    snap_index,
-    substeps_for,
-    trace_back,
-)
+from .characteristics import (CELL_POINTS_4, CELL_POINTS_9, SNAP_TOL, VelocityField, cell_lattice,
+                              snap_index, substeps_for, trace_back)
 from .core import Mesh2D, gauss_rule
 from .remap1d import GeometryError, fit_tests, powers, remap_matrix
 
-ROOT_EDGE_TOL = 1e-11  # crossings this close to an edge endpoint are dropped
+# Crossings this close to an edge's ends are dropped.  A piece must be long
+# enough that its snapped midpoint, which picks its cell, cannot land on the
+# grid line the piece ends at: an edge that overshoots a grid vertex by about
+# SNAP_TOL would otherwise keep pieces about SNAP_TOL long in the wrong row.
+END_MARGIN = 10.0 * SNAP_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -91,104 +94,55 @@ def eval_quadratic_deriv(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def quadratic_range(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """True min/max of a batch of quadratics over s in [0, 1]."""
-    v0 = eval_quadratic(coeffs, 0.0)
-    v1 = eval_quadratic(coeffs, 1.0)
-    lo = np.minimum(v0, v1)
-    hi = np.maximum(v0, v1)
-    a, b = coeffs[..., 2], coeffs[..., 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        sv = np.where(np.abs(a) > 0.0, -b / (2.0 * a), -1.0)
-    interior = (sv > 0.0) & (sv < 1.0)
-    vv = eval_quadratic(coeffs, np.where(interior, sv, 0.0))
-    lo = np.where(interior, np.minimum(lo, vv), lo)
-    hi = np.where(interior, np.maximum(hi, vv), hi)
-    return lo, hi
+        vertex = np.clip(-coeffs[..., 1] / (2.0 * coeffs[..., 2]), 0.0, 1.0)   # NaN if constant
+    v0, v1, vv = (eval_quadratic(coeffs, s) for s in (0.0, 1.0, vertex))
+    return np.fmin(np.minimum(v0, v1), vv), np.fmax(np.maximum(v0, v1), vv)
 
 
-def _line_crossings(coeffs: np.ndarray, lines: np.ndarray) -> np.ndarray:
-    """Parameters where quadratics cross given levels; non-crossings are NaN.
+def _line_crossings(coeffs: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Parameters in (0, 1) where quadratics cross given levels; others are NaN.
 
-    coeffs: (P, 3) one component per row; lines: (P,) target level per row.
-    Returns (P, 2) roots inside (0, 1); tangencies count as touches and are
-    dropped.
+    coeffs: (E, 3) one component per edge; levels: (E, L), NaN-padded.
+    Returns (E, L, 2).  Both roots come from the cancellation-free pair
+    q/a, c/q: a straight edge (a = 0) gets c/q = -c/b and an infinite q/a,
+    and a negative discriminant gives NaN.  A touch is a double root, so
+    it cuts the edge once and no piece's midpoint can be the touch point.
     """
-    c = coeffs[:, 0] - lines
-    b = coeffs[:, 1]
-    a = coeffs[:, 2]
-    out = np.full((coeffs.shape[0], 2), np.nan)
-    scale = np.maximum(np.abs(a) + np.abs(b) + np.abs(c), 1e-30)
-    lin = np.abs(a) <= 1e-13 * scale
+    c = coeffs[:, None, 0] - levels
+    b, a = coeffs[:, None, 1], coeffs[:, None, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_lin = -c / b
-    ok_lin = lin & (np.abs(b) > 1e-13 * scale)
-    out[:, 0] = np.where(ok_lin, r_lin, out[:, 0])
-
-    disc = b * b - 4.0 * a * c
-    quad = (~lin) & (disc > 1e-24 * scale**2)
-    sq = np.sqrt(np.where(quad, disc, 0.0))
-    qq = -0.5 * (b + np.sign(np.where(b == 0.0, 1.0, b)) * sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(quad, qq / a, np.nan)
-        r2 = np.where(quad & (np.abs(qq) > 0.0), c / qq, np.nan)
-    out[:, 0] = np.where(quad, r1, out[:, 0])
-    out[:, 1] = np.where(quad, r2, out[:, 1])
-    inside = (out > ROOT_EDGE_TOL) & (out < 1.0 - ROOT_EDGE_TOL)
-    return np.where(inside, out, np.nan)
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        roots = np.stack([q / a, c / q], axis=-1)
+    inside = (roots > END_MARGIN) & (roots < 1.0 - END_MARGIN)
+    return np.where(inside, roots, np.nan)
 
 
 def split_edges_at_gridlines(edges_idx: np.ndarray):
     """Split a batch of edges (index coordinates) at every grid-line crossing.
 
-    edges_idx: (E, 2, 3) quadratic coefficients of (rx(s), ry(s)).
-    Returns (edge_id, s0, s1) flat arrays of sub-pieces ordered along each
-    edge.
+    edges_idx: (E, 2, 3) quadratic coefficients of (rx(s), ry(s)).  Each
+    edge's cuts (0, its crossings of every grid line both coordinates
+    reach, 1) form one NaN-padded row, sorted once; a crossing within
+    SNAP_TOL of the cut before it is that grid vertex again and merges
+    into it.  Returns (edge_id, s0, s1) flat arrays of the pieces between
+    consecutive distinct cuts, ordered by edge and then along it.
     """
     E = edges_idx.shape[0]
-    root_eids = []
-    root_vals = []
+    rows = [np.zeros((E, 1)), np.ones((E, 1))]
     for axis in (0, 1):
         lo, hi = quadratic_range(edges_idx[:, axis, :])
-        first = np.floor(lo).astype(int) + 1
-        count = np.maximum(np.ceil(hi).astype(int) - first, 0)
-        if count.sum() == 0:
-            continue
-        eid = np.repeat(np.arange(E), count)
-        offs = np.concatenate([[0], np.cumsum(count)])
-        level = (first[eid] + (np.arange(eid.size) - offs[eid])).astype(float)
-        roots = _line_crossings(edges_idx[eid, axis, :], level)
-        for col in range(2):
-            valid = ~np.isnan(roots[:, col])
-            root_eids.append(eid[valid])
-            root_vals.append(roots[valid, col])
-
-    if root_eids:
-        eids = np.concatenate(root_eids)
-        vals = np.concatenate(root_vals)
-        order = np.lexsort((vals, eids))
-        eids, vals = eids[order], vals[order]
-        if eids.size:
-            fresh = np.concatenate(
-                [[True], (np.diff(eids) != 0) | (np.diff(vals) > 1e-12)]
-            )
-            eids, vals = eids[fresh], vals[fresh]
-    else:
-        eids = np.empty(0, dtype=int)
-        vals = np.empty(0)
-    if vals.size == 0:
-        return np.arange(E), np.zeros(E), np.ones(E)
-
-    nroots = np.bincount(eids, minlength=E)
-    root_offs = np.concatenate([[0], np.cumsum(nroots)])
-    npieces = nroots + 1
-    offs = np.concatenate([[0], np.cumsum(npieces)])
-    total = offs[-1]
-    edge_id = np.repeat(np.arange(E), npieces)
-    pos = np.arange(total) - offs[edge_id]
-    take = root_offs[edge_id] + pos
-    s0 = np.where(pos == 0, 0.0, vals[np.maximum(take - 1, 0)])
-    s1 = np.where(pos == nroots[edge_id], 1.0, vals[np.minimum(take, max(vals.size - 1, 0))])
-    keep = s1 - s0 > 1e-12
-    return edge_id[keep], s0[keep], s1[keep]
+        first = np.ceil(lo)
+        count = np.floor(hi) - first + 1.0       # lines the edge only touches too
+        step = np.arange(count.max(initial=0.0))
+        levels = np.where(step < count[:, None], first[:, None] + step, np.nan)
+        rows.append(_line_crossings(edges_idx[:, axis, :], levels).reshape(E, -1))
+    cuts = np.sort(np.concatenate(rows, axis=1), axis=1)
+    distinct = np.isfinite(cuts)
+    distinct[:, 1:] &= ~(np.diff(cuts, axis=1) <= SNAP_TOL)
+    edge, s = np.nonzero(distinct)[0], cuts[distinct]
+    piece = edge[:-1] == edge[1:]
+    return edge[:-1][piece], s[:-1][piece], s[1:][piece]
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +162,8 @@ def traced_cell_points(mesh: Mesh2D, t_end: float, t_start: float, v: VelocityFi
     neighbouring cells see bitwise identical shared feet.  Each cell's feet
     are then shifted by whole multiples of the cell counts so that the
     midpoint of its corners' bounding box lies in [0, nx) x [0, ny),
-    snapped onto grid lines within SNAP_TOL, and its corner quadrilateral
-    is checked.
+    snapped onto the half-cell lattice within SNAP_TOL, and its corner
+    quadrilateral is checked.
     """
     if substeps is None:
         substeps = substeps_for(mesh, v, t_end, t_start)

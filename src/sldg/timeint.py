@@ -415,15 +415,12 @@ class Stepper:
         A, c = self.tableau.A, self.tableau.c
         s = self.tableau.stages
 
-        if self.eps == 0.0 and self.source is None:
-            load = self._apply_remap(self._remap(t + dt, t), u.coeffs)
-            return DGField(self.mesh, self.k, (load / self.mass).reshape(u.coeffs.shape), t + dt)
-
         # stage_f[j] is stage j's explicit term eps D x_j + g_j (None if neither)
         stage_f: list[np.ndarray | None] = [None] * s
         added = 0.0
         x = u.coeffs.ravel()
-        for ii in range(s):
+        # pure transport: no stage feeds a later one, so only the last stage counts
+        for ii in range(s - 1 if self.eps == 0.0 and self.source is None else 0, s):
             t_ii = t + c[ii] * dt
             rhs = self._apply_remap(self._remap(t_ii, t), u.coeffs)
             for jj in range(ii):

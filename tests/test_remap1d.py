@@ -176,6 +176,13 @@ def test_translation_exactness(k):
         ref = project_translate_exact(u, shift)
         assert np.max(np.abs(got - ref)) < 1e-11
 
+    # a whole-cell shift puts every foot, the midpoint's too, on the lattice
+    # it was traced from, so R / M is the block permutation to rounding
+    for cells in (1, 2, 4, 7):
+        R = assemble_remap_1d(mesh, k, cells * mesh.dx, 0.0, constant_1d(1.0)).toarray()
+        perm = np.kron(np.eye(mesh.n)[np.roll(np.arange(mesh.n), cells)], np.eye(k + 1))
+        assert np.max(np.abs(R / mass_vector(mesh, k)[:, None] - perm)) <= 1e-15
+
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_global_mass_conservation(k):

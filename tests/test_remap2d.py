@@ -6,6 +6,7 @@ import pytest
 from sldg import remap2d_matrix
 from sldg.characteristics import (
     CELL_POINTS_9,
+    SNAP_TOL,
     VelocityField,
     constant_2d,
     rigid_rotation,
@@ -19,6 +20,9 @@ from sldg.remap2d_matrix import (
     cell_edges,
     check_upstream_quads,
     curved_areas,
+    eval_quadratic,
+    quadratic_through,
+    split_edges_at_gridlines,
     traced_cell_points,
     tracked_points,
     unique_edges,
@@ -234,6 +238,14 @@ def test_translation_exactness_whole_cells():
     src = mesh.cell_index(ix - 3, iy - 2)
     assert np.max(np.abs(got - u.coeffs[src])) < 1e-11
 
+    # QC traces the edge midpoints too; snapped onto the half-cell lattice,
+    # every foot is exact, so R / M is the block permutation to rounding
+    d = Basis(k, 2).dim
+    for sx, sy in ((3, 2), (5, 7)):
+        R = assemble_remap_2d(mesh, k, 1.0, 0.0, constant_2d(sx * mesh.dx, sy * mesh.dy), "qc")
+        perm = np.kron(np.eye(mesh.ncells)[mesh.cell_index(ix - sx, iy - sy)], np.eye(d))
+        assert np.max(np.abs(R.toarray() / mass_vector(mesh, k)[:, None] - perm)) <= 5e-15
+
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_translation_exactness_fractional(k):
@@ -371,3 +383,64 @@ def test_shared_edges_across_periodic_images():
     assert np.max(np.abs(cover - area)) <= 1e-12 * area
     oracle = clipped_rows(mesh, k, 1.0, 0.0, v, mode, range(mesh.ncells))
     assert np.max(np.abs(R.toarray() - oracle.reshape(R.shape))) <= 1e-12 * np.max(np.abs(R.data))
+
+
+def split(p0, pm, p2):
+    """Pieces (s0, s1) of one edge through p0, pm, p2 at s = 0, 1/2, 1."""
+    edge = quadratic_through(*(np.asarray(p, float)[None] for p in (p0, pm, p2)))
+    eid, s0, s1 = split_edges_at_gridlines(edge)
+    assert np.all(eid == 0)
+    return s0, s1
+
+
+def test_split_straight_edge_needs_no_linear_branch():
+    """A straight edge gives the same cuts whether its quadratic part is
+    zero or a rounding residue."""
+    edge = np.array([[[0.3, 2.4, 0.0], [0.2, 1.7, 0.0]]])
+    _, s0, s1 = split_edges_at_gridlines(edge)
+    edge[0, :, 2] = 1e-17
+    _, t0, t1 = split_edges_at_gridlines(edge)
+    assert s0.size == 4                  # x = 1, x = 2 and y = 1 cut it
+    assert np.allclose(t0, s0, rtol=0, atol=1e-15) and np.allclose(t1, s1, rtol=0, atol=1e-15)
+    assert s0[0] == 0.0 and s1[-1] == 1.0 and np.all(s1[:-1] == s0[1:])
+
+
+def test_split_through_grid_vertex_cuts_once():
+    d = np.array([0.9, 1.3]) / 3.0
+    s0, s1 = split(1.0 - 0.4 * d, 1.0 + 0.1 * d, 1.0 + 0.6 * d)
+    assert s0.size == 2
+    assert s1[0] == pytest.approx(0.4, abs=1e-14)
+
+
+def test_split_edge_ending_on_line_has_no_sliver():
+    for end in (2.0, 2.0 + 1e-13, 2.0 - 1e-13):
+        s0, s1 = split((0.3, 0.2), (0.5 * (0.3 + end), 0.55), (end, 0.9))
+        assert s0.size == 2               # cut at x = 1 only
+        assert np.min(s1 - s0) > 0.4
+
+
+def test_split_tangent_parabola_is_cut_once_at_the_touch():
+    """y = 1 + 2 (s - 1/2)^2 touches y = 1 at s = 1/2, the edge's midpoint.
+    Uncut, the edge would be one piece whose snapped midpoint lies on the
+    line, in the row above the edge; the double root cuts it there once."""
+    s0, s1 = split((0.2, 1.5), (0.45, 1.0), (0.7, 1.5))
+    assert s0.tolist() == [0.0, 0.5] and s1.tolist() == [0.5, 1.0]
+    # a parabola that stays clear of the line is not cut
+    s0, s1 = split((0.2, 1.5), (0.45, 1.1), (0.7, 1.5))
+    assert s0.tolist() == [0.0]
+
+
+def test_split_overshoot_to_vertex_keeps_no_short_piece(monkeypatch):
+    """An ex35 40^2 QC edge (first DIRK4 stage of the second step) ends on
+    the vertex (3, 40) after overshooting x = 3: its crossing of x = 3 lies
+    1.3e-12 before the end.  A piece that short would have its snapped
+    midpoint on the vertex and land in the wrong row, so the end margin
+    drops the crossing."""
+    edge = np.array([[[3.0006750282013224, -0.0006709288929673818, -4.099308355876019e-06],
+                      [39.00022123476612, 0.9995578848869968, 0.00022088034687328673]]])
+    assert np.allclose(eval_quadratic(edge[0], 1.0), [3.0, 40.0], rtol=0, atol=1e-14)
+    _, s0, s1 = split_edges_at_gridlines(edge)
+    assert np.min(s1 - s0) > remap2d_matrix.END_MARGIN
+    monkeypatch.setattr(remap2d_matrix, "END_MARGIN", SNAP_TOL)
+    _, s0, s1 = split_edges_at_gridlines(edge)
+    assert np.min(s1 - s0) < 1e-11

@@ -6,6 +6,10 @@ cell shape and the CFL number.  The assembly must either raise GeometryError
 or tile the mesh, agree with the clipping oracle on every cell of the first
 and last row and column (the cells whose edges lie on the periodic seam)
 and conserve mass in a diffusive step.
+
+The edge splitter is checked on its own on random quadratic edges whose
+control points are often on the half-cell lattice, so that edges end on
+grid lines and pass through grid vertices.
 """
 
 import math
@@ -14,12 +18,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sldg.characteristics import VelocityField
+from sldg.characteristics import VelocityField, snap_index
 from sldg.core import Basis, DGField, Mesh2D, total_mass
 from sldg.remap1d import GeometryError
-from sldg.remap2d_matrix import assemble_remap_2d
+from sldg.remap2d_matrix import (END_MARGIN, assemble_remap_2d, eval_quadratic, quadratic_through,
+                                 split_edges_at_gridlines)
 from sldg.timeint import LinearSolverConfig, Stepper
-from sldg.verify import clipped_rows
+from sldg.verify import _crossings, clipped_rows
 
 modes = st.tuples(
     st.floats(-1.0, 1.0),                   # c
@@ -83,3 +88,38 @@ def test_remap_invariants_on_random_fields(terms, nx, ny, k, mode, cfl, seed):
         assert abs(total_mass(after) - total_mass(u)) <= 1e-11 * scale
     except GeometryError:
         pass
+
+
+# coordinates far below a cell width only make the discriminant underflow
+coordinate = st.one_of(st.floats(-3.0, 3.0).filter(lambda x: x == 0.0 or abs(x) > 1e-9),
+                       st.integers(-6, 6).map(lambda i: 0.5 * i))
+point = st.tuples(coordinate, coordinate)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(edges=st.lists(st.tuples(point, point, point), min_size=1, max_size=6))
+def test_split_edges_tile_and_match_reference_crossings(edges):
+    coeffs = quadratic_through(*(np.array(p, float) for p in zip(*edges)))
+    eid, s0, s1 = split_edges_at_gridlines(coeffs)
+    for e, edge in enumerate(coeffs):
+        a, b = s0[eid == e], s1[eid == e]
+        # ordered along the edge, no gaps, no overlaps
+        assert a.size >= 1 and a[0] == 0.0 and b[-1] == 1.0 and np.all(b[:-1] == a[1:])
+        assert np.all(b > a)
+
+        # the cuts are the scalar reference crossings of every grid line
+        ref = [0.0]
+        for axis in (0, 1):
+            reach = eval_quadratic(edge[axis], np.linspace(0.0, 1.0, 65))
+            for level in range(math.floor(reach.min()) - 1, math.ceil(reach.max()) + 2):
+                ref += _crossings(edge[axis, 0] - level, edge[axis, 1], edge[axis, 2])
+        ref = np.array([r for r in ref if r == 0.0 or END_MARGIN < r < 1.0 - END_MARGIN])
+        assert np.all(np.min(np.abs(a[:, None] - ref[None, :]), axis=1) <= 1e-12)
+        assert np.all(np.min(np.abs(ref[:, None] - a[None, :]), axis=1) <= 1e-12)
+
+        # each piece lies in the closed background cell of its snapped
+        # midpoint, the cell the assembler gives it
+        inner = a[:, None] + (b - a)[:, None] * np.linspace(0.05, 0.95, 7)
+        at = snap_index(eval_quadratic(edge[:, None, None, :], inner))       # (2, pieces, 7)
+        cell = np.floor(at[..., 3:4])
+        assert np.all((at >= cell) & (at <= cell + 1.0))
