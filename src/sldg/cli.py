@@ -37,10 +37,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, help="diffusion coefficient")
     p.add_argument("--flux", choices=tuple(_FLUX), help="solution-trace side of the fluxes")
     p.add_argument("--mode", choices=("quad", "qc"), help="upstream edge representation")
-    p.add_argument("--gmres-tol", type=float, help="stage residual threshold (GMRES stopping rule)")
+    p.add_argument("--gmres-tol", type=float,
+                   help="relative stage residual threshold of the iterative solve (GMRES in the "
+                        "mass inner product, run as MINRES)")
     p.add_argument("--solver", choices=("gmres", "direct"),
-                   help="unpreconditioned GMRES, or the exact FFT block solve of the periodic "
-                        "stage systems")
+                   help="unpreconditioned GMRES (as MINRES in the mass inner product), or the "
+                        "exact FFT block solve of the periodic stage systems")
     p.add_argument("--T", type=float, help="final time override")
     p.add_argument("--dt-dx", type=float, help="time step as a multiple of dx (overrides cfl)")
     p.add_argument("--out", help="output directory for CSV/plot files")

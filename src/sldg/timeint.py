@@ -9,22 +9,23 @@ the tableaus are stiffly accurate, the final stage is the step solution.
 Upstream geometries (one sparse remap operator per ordered pair of stage
 times) are cached and, for velocity fields without explicit time dependence,
 reused across steps.  The stage systems ``(I - gamma D) x = b`` are solved
-either by unpreconditioned restarted GMRES on the factored LDG sweeps or,
-with the ``direct`` solver, exactly: on the uniform periodic mesh
-``I - gamma D`` is block-circulant, so ``rfftn`` over the cells splits it
-into one d x d block per wavenumber.  The block inverses are computed on the
-first direct solve for each distinct diagonal coefficient and cached; a
-solve is then a forward transform, a batched block product and an inverse
-transform.
+either iteratively on the factored LDG sweeps or, with the ``direct``
+solver, exactly: on the uniform periodic mesh ``I - gamma D`` is
+block-circulant, so ``rfftn`` over the cells splits it into one d x d block
+per wavenumber.  The block inverses are computed on the first direct solve
+for each distinct diagonal coefficient and cached; a solve is then a forward
+transform, a batched block product and an inverse transform.
 
-``gmres`` is this module's own restarted GMRES.  Its Arnoldi step is the
-inverse compact-WY form of modified Gram-Schmidt (ICWY-MGS; Swirydowicz,
-Langou, Ananthan, Yang & Thomas, NLAA 28:e2343, 2021): it yields MGS's
-Hessenberg coefficients in exact arithmetic, with MGS's loss of
-orthogonality, from one block product against the basis and one update,
-instead of one dot and one axpy per basis vector.  Its stopping rule and
-restart logic are those of ``scipy.sparse.linalg.gmres``, which the tests
-use as its reference.
+The iterative solver is the paper's unpreconditioned GMRES, run in the mass
+inner product.  ``M D`` is symmetric (``ldg.dissipativity_check`` states
+``(D u, u)_M = -|q|^2``), so ``I - gamma D`` is self-adjoint in that inner
+product, GMRES's Hessenberg matrix is tridiagonal and GMRES becomes MINRES
+(Paige & Saunders, SIAM J. Numer. Anal. 12:617, 1975): it minimizes the
+residual's mass norm over the same Krylov space, with a three-term
+recurrence instead of orthogonalization against every earlier basis vector.
+The Euclidean residual still decides when a solve is done.  ``minres`` is
+this module's own; the tests compare its iterates with
+``scipy.sparse.linalg.minres`` on the symmetrized system.
 """
 
 from __future__ import annotations
@@ -116,21 +117,22 @@ def tableau(name: str) -> ButcherTableau:
     return tab
 
 
-GMRES_RESTART = 60     # Krylov dimension between GMRES restarts
-# restart cycles before a stage solve fails; the test suite and the benchmark
-# workloads need at most 3, and a hopeless stage gives up within seconds
-GMRES_MAXITER = 100
+# iterations, over all passes, before a stage solve fails; the benchmark's
+# stages take about 145, and a hopeless stage gives up within seconds
+MINRES_MAXITER = 6000
 
 
 @dataclass(frozen=True)
 class LinearSolverConfig:
     """Stage-system solver selection.
 
-    ``gmres`` is the paper's solver: unpreconditioned GMRES (this module's
-    ``gmres``) with relative threshold ``tol``, restarted every
-    ``GMRES_RESTART`` iterations; ``direct`` is the exact block-diagonal
-    Fourier solve of the periodic system.  Both must meet ``tol`` on the
-    residual, so ``tol`` must be positive and finite.
+    ``gmres`` is the paper's solver, unpreconditioned GMRES with relative
+    threshold ``tol``.  The stage operator is self-adjoint in the mass inner
+    product, where GMRES reduces to MINRES, so it runs as this module's
+    ``minres``, which gives up after ``MINRES_MAXITER`` iterations.
+    ``direct`` is the exact block-diagonal Fourier solve of the periodic
+    system.  Both must meet ``tol`` on the residual, so ``tol`` must be
+    positive and finite.
     """
 
     method: str = "gmres"
@@ -143,24 +145,23 @@ class LinearSolverConfig:
             raise ValueError(f"solver tolerance must be positive and finite, got {self.tol!r}")
 
 
-def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray, x0: np.ndarray | None,
-          rtol: float, restart: int, maxiter: int) -> tuple[np.ndarray, int, bool]:
-    """Restarted GMRES for A x = b, with A given by ``matvec``.
+def minres(matvec: Callable[[np.ndarray], np.ndarray], w: np.ndarray, b: np.ndarray,
+           x0: np.ndarray | None, rtol: float, maxiter: int) -> tuple[np.ndarray, int, bool]:
+    """MINRES for A x = b, with A given by ``matvec`` and self-adjoint in the
+    inner product ``<u, v> = u @ (w * v)`` for positive weights ``w``.
 
-    Returns x, the number of Arnoldi iterations and whether the true
-    residual meets ``|b - A x| <= rtol |b|``.  The stopping rule is scipy's:
-    a cycle ends when its least-squares residual estimate meets an inner
-    threshold (``rtol |b|`` at first, rescaled after each restart by how far
-    the estimate and the true residual drifted apart), at an exact
-    breakdown, or after ``restart`` iterations; after each cycle the true
-    residual decides.  A zero b gives x = 0 without iterating.
-
-    The basis V is one (restart + 1) x n array and each Arnoldi step is
-    ICWY-MGS: ``w = A v_j`` is written into row j + 1, one product against
-    V gives both V^T w and the new row of L, the strict lower triangle of
-    V V^T, and h solves ``(I + L) h = V^T w`` through the inverse
-    T = (I + L)^-1, which grows by one row per iteration.  The Givens
-    rotations of the least-squares problem act on Python floats.
+    Returns x, the number of Lanczos iterations and whether the true
+    residual meets ``|b - A x| <= rtol |b|`` in the Euclidean norm.  A pass
+    runs the Lanczos recurrence from the current residual and updates x by
+    Givens rotations of the tridiagonal (Paige & Saunders 1975, in the form
+    of Elman, Silvester & Wathen's Algorithm 2.4).  It ends when the
+    recurrence's estimate of the residual's w-norm meets an inner threshold
+    (``rtol`` times the w-norm of b at first); an exact breakdown makes that
+    estimate zero.  The true residual then decides; if it falls short, the
+    threshold shrinks by the factor it missed by and a new pass starts from
+    x.  ``maxiter`` caps the iterations of all passes together, and a
+    singular tridiagonal on a closed Krylov space ends the solve.  A zero b
+    gives x = 0 without iterating.
     """
     n = b.size
     bnrm = float(np.linalg.norm(b))
@@ -170,68 +171,40 @@ def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray, x0: np.ndar
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - matvec(x) if x.any() else b.copy()
     rnorm = float(np.linalg.norm(r))
-    if rnorm < atol:
-        return x, 0, True
-    restart = min(restart, n)
-    eps = np.finfo(float).eps
-    V = np.empty((restart + 1, n))
-    T = np.zeros((restart, restart))
-    ptol, factor = min(bnrm, atol), 1.0
+    ptol = rtol * math.sqrt(b @ (w * b))
     its = 0
-    for _ in range(maxiter):
-        np.multiply(r, 1.0 / rnorm, out=V[0])
-        g = [rnorm]          # rotated right-hand side of the least-squares problem
-        rots = []            # Givens rotations (c, s)
-        R = []               # columns of the triangular factor
-        breakdown = False
-        for j in range(restart):
-            w = V[j + 1]
-            w[:] = matvec(V[j])
-            P = V[j:j + 2] @ V[:j + 2].T
-            T[j, :j] = -(P[0, :j] @ T[:j, :j])
-            T[j, j] = 1.0
-            h = T[:j + 1, :j + 1] @ P[1, :j + 1]
-            w -= h @ V[:j + 1]
-            h1 = float(np.linalg.norm(w))
-            if h1 <= eps * math.sqrt(P[1, j + 1]):
-                h1, breakdown = 0.0, True
-            else:
-                w *= 1.0 / h1
-            col = h.tolist()
-            col.append(h1)
-            for i, (c, s) in enumerate(rots):
-                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-            mag = math.hypot(col[j], col[j + 1])
-            c, s = (col[j] / mag, col[j + 1] / mag) if mag else (1.0, 0.0)
-            rots.append((c, s))
-            col[j] = mag
-            R.append(col[:j + 1])
-            g.append(-s * g[j])
-            g[j] *= c
-            presid = abs(g[j + 1])
+    while rnorm > atol and its < maxiter:
+        wv = w * r
+        eta = math.sqrt(r @ wv)       # the residual's w-norm, estimated, up to sign
+        v_old, v, wv, beta = 0.0, r / eta, wv / eta, 0.0
+        d_old = d = np.zeros(n)
+        c_old, s_old, c, s = 1.0, 0.0, 1.0, 0.0
+        while its < maxiter:
+            p = matvec(v)
+            alpha = float(wv @ p)
+            p -= alpha * v
+            p -= beta * v_old
+            wp = w * p
+            beta_next = math.sqrt(p @ wp)
+            # rotate the new column (beta, alpha, beta_next) of the tridiagonal
+            a0 = c * alpha - c_old * s * beta
+            a1 = math.hypot(a0, beta_next)
+            a2 = s * alpha + c_old * c * beta
+            a3 = s_old * beta
             its += 1
-            if presid <= ptol or breakdown:
+            if a1 == 0.0:       # singular on a closed Krylov space: no pass gets further
+                return x, its, float(np.linalg.norm(b - matvec(x))) <= atol
+            c_old, s_old, c, s = c, s, a0 / a1, beta_next / a1
+            d_old, d = d, (v - a3 * d_old - a2 * d) / a1
+            x += (c * eta) * d
+            eta *= -s
+            if abs(eta) <= ptol:
                 break
-        # back substitution on the triangular factor, skipping a zero pivot
-        # the way scipy does when the Hessenberg matrix is singular
-        if R[j][j] == 0.0:
-            g[j] = 0.0
-        y = g[:j + 1]
-        for i in range(j, -1, -1):
-            if y[i] != 0.0:
-                y[i] /= R[i][i]
-                for m in range(i):
-                    y[m] -= y[i] * R[i][m]
-        x += np.array(y) @ V[:j + 1]
+            v_old, v, wv, beta = v, p / beta_next, wp / beta_next, beta_next
         r = b - matvec(x)
         rnorm = float(np.linalg.norm(r))
-        if rnorm <= atol:
-            return x, its, True
-        if breakdown:
-            break
-        factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
-        ptol = presid * min(factor, atol / rnorm)
-    return x, its, False
+        ptol *= atol / max(rnorm, atol)
+    return x, its, rnorm <= atol
 
 
 class SolverError(RuntimeError):
@@ -335,7 +308,7 @@ class Stepper:
         ``last_dx`` keeps D x from the residual check (None when gamma is
         0 and no residual is formed), so callers need not apply D again.
         ``last_residual`` is that residual's norm and ``last_iterations``
-        the number of GMRES iterations the solve took, the retry at a
+        the number of MINRES iterations the solve took, the retry at a
         tighter threshold included (0 for ``direct`` and for gamma = 0).
         """
         self.last_dx = None
@@ -395,14 +368,13 @@ class Stepper:
 
     def _gmres(self, gamma: float, b: np.ndarray, tighten: float = 1.0,
                x0=None) -> tuple[np.ndarray, int]:
-        """GMRES solution of (I - gamma D) x = b and its iteration count."""
-        x, its, converged = gmres(partial(self._apply_system, gamma), b, x0,
-                                  self.solver.tol / tighten, GMRES_RESTART, GMRES_MAXITER)
+        """MINRES solution of (I - gamma D) x = b and its iteration count."""
+        x, its, converged = minres(partial(self._apply_system, gamma), self.mass, b, x0,
+                                   self.solver.tol / tighten, MINRES_MAXITER)
         if not converged:
             resid = np.linalg.norm(self._apply_system(gamma, x) - b)
-            raise SolverError(f"GMRES did not converge in {GMRES_MAXITER} restart cycles of "
-                              f"{GMRES_RESTART} iterations at gamma={float(gamma)!r}, "
-                              f"residual {resid:.3e}")
+            raise SolverError(f"MINRES did not converge in {MINRES_MAXITER} iterations at "
+                              f"gamma={float(gamma)!r}, residual {resid:.3e}")
         return x, its
 
     # -- stepping -------------------------------------------------------------

@@ -238,3 +238,18 @@ def test_stacked_sweeps_match_per_axis_sum(mesh, k, orient):
               for axis, u_side, q_side in _axis_sides(mesh, flux))
     assert op.grad.shape == (mesh.ndim * x.size, x.size)
     assert np.max(np.abs(op.apply_flat(x) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mesh", [Mesh1D(0.0, 2 * np.pi, 9), Mesh2D(0.0, 2 * np.pi, 0.0, 3.0, 6, 5)],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("fx", ["uminus_qplus", "uplus_qminus"])
+@pytest.mark.parametrize("fy", ["uminus_qplus", "uplus_qminus"])
+def test_mass_times_operator_symmetric_negative_semidefinite(mesh, k, fx, fy):
+    # the premise of the MINRES stage solve: M D is symmetric and negative
+    # semidefinite, so I - gamma D is self-adjoint in the mass inner product
+    op = (assemble_ldg_1d, assemble_ldg_2d)[mesh.ndim - 1](mesh, k, FluxChoice(fx, fy))
+    MD = mass_vector(mesh, k)[:, None] * op.op.toarray()
+    scale = np.max(np.abs(MD))
+    assert np.max(np.abs(MD - MD.T)) <= 1e-15 * scale
+    assert np.linalg.eigvalsh(0.5 * (MD + MD.T)).max() <= 1e-14 * scale

@@ -70,9 +70,10 @@ def test_tracer_counts_every_layer(tracing, ndim, method):
         # the direct path is a Fourier block solve: no sparse LU runs
         assert m["timeint.lu_factorizations"] == 0 and m["timeint.gmres_calls"] == 0
     else:
-        # GMRES is timeint's own loop: nothing reaches scipy's gmres through
-        # the proxied name, each Arnoldi step applies the LDG operator, and
-        # a traced step iterates exactly as an untraced one
+        # the iterative solve is timeint's own MINRES: nothing reaches
+        # scipy's gmres through the proxied name, each Lanczos step applies
+        # the LDG operator, and a traced step iterates exactly as an
+        # untraced one
         assert m["timeint.gmres_calls"] == 0
         assert m["ldg.matvecs"] > m["timeint.stage_solves"]
         untraced = Stepper(mesh, 2, v, eps=0.5, source=g, tab="dirk2",

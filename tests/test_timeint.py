@@ -159,94 +159,90 @@ def test_solve_stage_residual_contract():
     assert st.last_iterations > 0
 
 
-def _scipy_gmres(matvec, b, x0, rtol, restart, maxiter):
-    """scipy's GMRES on the same operator: x, iterations and whether it converged."""
-    count = []
-    op = spla.LinearOperator((b.size, b.size), matvec=matvec, dtype=np.float64)
-    x, info = spla.gmres(op, b, x0=x0, rtol=rtol, restart=restart, maxiter=maxiter,
-                         callback=count.append, callback_type="pr_norm")
-    return x, len(count), info == 0
-
-
-def _assert_same_solve(ours, ref):
-    x, its, converged = ours
-    x_ref, its_ref, converged_ref = ref
-    assert (its, converged) == (its_ref, converged_ref)
-    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
-
-
-def test_gmres_matches_scipy_on_1d_stage():
-    # the first backward-Euler stage system of test_mass_conservation_1d
-    mesh = Mesh1D(0.0, 2 * np.pi, 24)
-    st = Stepper(mesh, 2, sine_1d(), eps=0.7, tab="be", solver=LinearSolverConfig("gmres", 1e-12))
+def _stage_system(ndim):
+    """A k = 2 backward-Euler stage system (I - gamma D) x = b on a remapped
+    noisy field, the stepper and the system's matvec."""
     rng = np.random.default_rng(5)
-    u = project(np.sin, mesh, 2)
+    if ndim == 1:
+        mesh, v = Mesh1D(0.0, 2 * np.pi, 24), sine_1d()
+        u = project(np.sin, mesh, 2)
+    else:
+        mesh, v = Mesh2D(0.0, 2 * np.pi, 0.0, 2 * np.pi, 6, 5), constant_2d(1.0, 0.5)
+        u = project(lambda x, y: np.sin(x) * np.cos(y), mesh, 2)
+    st = Stepper(mesh, 2, v, eps=0.7, tab="be", solver=LinearSolverConfig("gmres", 1e-12))
     u.coeffs += 0.2 * rng.standard_normal(u.coeffs.shape)
-    rhs = st._apply_remap(st._remap(0.2, 0.0), u.coeffs)
-    gamma = 0.7 * 0.2
-    b = rhs / st.mass
-    ref = _scipy_gmres(partial(st._apply_system, gamma), b, None, 1e-12, 60, 100)
-    assert ref[1] == 47
-    x = st.solve_stage(gamma, rhs)
-    _assert_same_solve((x, st.last_iterations, True), ref)
+    b = st._apply_remap(st._remap(0.2, 0.0), u.coeffs) / st.mass
+    return st, partial(st._apply_system, 0.7 * 0.2), b
 
 
-def test_gmres_restarts_match_scipy_2d(monkeypatch):
-    # a restart of 4 makes every solve run several cycles, each warm-started
-    # from the last; the explicit x0 is the retry's warm start
-    monkeypatch.setattr(timeint, "GMRES_RESTART", 4)
-    mesh = Mesh2D(0.0, 2 * np.pi, 0.0, 2 * np.pi, 6, 5)
-    st = Stepper(mesh, 1, constant_2d(1.0, 0.5), eps=1.0, solver=LinearSolverConfig("gmres", 1e-12))
-    rng = np.random.default_rng(3)
-    b = rng.standard_normal(st.mass.size)
-    for gamma in (0.02, 0.1):
-        for x0 in (None, rng.standard_normal(b.size)):
-            ref = _scipy_gmres(partial(st._apply_system, gamma), b, x0, 1e-12, 4,
-                               timeint.GMRES_MAXITER)
-            assert ref[1] > 3 * 4
-            x, its = st._gmres(gamma, b, x0=x0)
-            _assert_same_solve((x, its, True), ref)
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_minres_matches_scipy_on_symmetrized_stage(ndim):
+    # with S = diag(sqrt(mass)), S (I - gamma D) S^-1 is symmetric; scipy's
+    # minres on it, started from 0, has the iterates S x_j of minres in the
+    # mass inner product
+    st, matvec, b = _stage_system(ndim)
+    sq = np.sqrt(st.mass)
+    sym = spla.LinearOperator((b.size, b.size), matvec=lambda y: sq * matvec(y / sq),
+                              dtype=np.float64)
+    for j in (1, 5, 20):
+        x, its, converged = timeint.minres(matvec, st.mass, b, None, 1e-300, j)
+        y, _ = spla.minres(sym, sq * b, rtol=1e-300, maxiter=j)
+        assert (its, converged) == (j, False)
+        assert np.linalg.norm(x - y / sq) <= 1e-13 * np.linalg.norm(y / sq)
 
 
-def test_gmres_rescales_inner_threshold_like_scipy():
-    # rounding every product to float32 stalls the true residual near 1e-7
-    # while each cycle's estimate keeps falling, so every restart rescales
-    # the inner threshold; a fixed threshold takes 52 iterations here, not 60
-    d = np.linspace(1.0, 3.0, 40)
-    b = np.cos(np.arange(40.0))
-
-    def matvec(v):
-        return (d * v).astype(np.float32).astype(float)
-
-    ours = timeint.gmres(matvec, b, None, 1e-12, 10, 6)
-    _assert_same_solve(ours, _scipy_gmres(matvec, b, None, 1e-12, 10, 6))
-    assert ours[1:] == (60, False)
-
-
-def test_gmres_zero_rhs():
+def test_minres_zero_rhs():
     b = np.zeros(6)
-    x0 = np.ones(6)
-    ours = timeint.gmres(lambda v: 2.0 * v, b, x0, 1e-12, 60, 100)
-    _assert_same_solve(ours, _scipy_gmres(lambda v: 2.0 * v, b, x0, 1e-12, 60, 100))
-    assert ours[1] == 0 and not ours[0].any()
+    x, its, converged = timeint.minres(lambda v: 2.0 * v, np.ones(6), b, np.ones(6), 1e-12, 100)
+    assert (its, converged) == (0, True) and not x.any()
 
 
-def test_gmres_exact_breakdown():
-    # n < restart.  A cyclic shift of three unknowns beside 2 I: from e_0
-    # the Krylov space closes exactly after three iterations, the third
-    # w = A v_2 = v_0 orthogonalizes to zero, and the solve is exact
-    A = np.zeros((7, 7))
-    A[[1, 2, 0], [0, 1, 2]] = 1.0
-    A[3:, 3:] = 2.0 * np.eye(4)
-    b = np.eye(7)[0]
-    ours = timeint.gmres(lambda v: A @ v, b, None, 1e-12, 60, 100)
-    _assert_same_solve(ours, _scipy_gmres(lambda v: A @ v, b, None, 1e-12, 60, 100))
-    assert ours[1] == 3 and np.array_equal(A @ ours[0], b)
-    # a breakdown on a singular system ends the solve unconverged
-    N = np.array([[0.0, 1.0], [0.0, 0.0]])
-    ours = timeint.gmres(lambda v: N @ v, np.eye(2)[0], None, 1e-12, 60, 100)
-    _assert_same_solve(ours, _scipy_gmres(lambda v: N @ v, np.eye(2)[0], None, 1e-12, 60, 100))
-    assert ours[1:] == (1, False)
+def test_minres_lucky_breakdown():
+    # b is an eigenvector of a diagonal A, and with power-of-two weights every
+    # product is exact: the first Lanczos step leaves beta = 0, the residual
+    # estimate is zero and one iteration solves the system exactly
+    d = np.array([3.0, -1.5, 4.0, 7.0])
+    w = np.array([1.0, 4.0, 0.25, 16.0])
+    b = np.array([0.0, 0.0, 3.0, 0.0])
+    x, its, converged = timeint.minres(lambda v: d * v, w, b, None, 1e-12, 100)
+    assert (its, converged) == (1, True)
+    assert np.array_equal(d * x, b)
+    # a singular system the Krylov space closes on ends the solve unconverged
+    x, its, converged = timeint.minres(lambda v: np.array([0.0, 1.0]) * v, np.ones(2),
+                                       np.array([1.0, 0.0]), None, 1e-12, 100)
+    assert (its, converged) == (1, False) and not x.any()
+
+
+def test_minres_restarts_until_true_residual_meets_rtol():
+    # weights spread over twelve decades make the w-norm blind to most of
+    # the residual, so the first pass stops with the Euclidean residual far
+    # above the threshold and later passes tighten their inner threshold
+    n = 60
+    d = np.linspace(1.0, 4.0, n)
+    w = np.logspace(0.0, -12.0, n)
+    b = np.cos(np.arange(float(n)))
+    calls = []
+    x, its, converged = timeint.minres(lambda v: calls.append(1) or d * v, w, b, None, 1e-12, 6000)
+    assert converged
+    assert np.linalg.norm(b - d * x) <= 1e-12 * np.linalg.norm(b)
+    assert len(calls) - its >= 2       # one true residual after each pass
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_minres_indefinite_stage_meets_residual_contract(ndim):
+    # gamma < 0 gives I - gamma D eigenvalues of both signs; MINRES needs
+    # only symmetry, not definiteness
+    st, _, b = _stage_system(ndim)
+    gamma = -0.4
+    sq = np.sqrt(st.mass)
+    A = np.eye(b.size) - gamma * st.ldg.op.toarray()
+    lam = np.linalg.eigvalsh(0.5 * (sq[:, None] * A / sq + (sq[:, None] * A / sq).T))
+    assert lam.min() < -1.0 and lam.max() > 0.0 and np.abs(lam).min() > 1e-2
+    rhs = st.mass * b
+    x = st.solve_stage(gamma, rhs)
+    resid = np.linalg.norm(st.mass * st._apply_system(gamma, x) - rhs)
+    assert resid <= st.solver.tol * max(1.0, np.linalg.norm(rhs))
+    assert st.last_iterations > 0
 
 
 def test_solver_config_rejects_bad_tolerance():
@@ -264,12 +260,11 @@ def test_stepper_rejects_unknown_mode():
 
 
 def test_solver_failure_raises(monkeypatch):
-    monkeypatch.setattr(timeint, "GMRES_RESTART", 3)
-    monkeypatch.setattr(timeint, "GMRES_MAXITER", 1)
+    monkeypatch.setattr(timeint, "MINRES_MAXITER", 3)
     mesh = Mesh1D(0.0, 2 * np.pi, 40)
     st = Stepper(mesh, 2, constant_1d(1.0), eps=1.0, solver=LinearSolverConfig("gmres", 1e-14))
     rng = np.random.default_rng(1)
-    with pytest.raises(SolverError, match=r"1 restart cycles of 3 iterations at gamma=10\.0"):
+    with pytest.raises(SolverError, match=r"in 3 iterations at gamma=10\.0, residual \d\.\d{3}e"):
         st.solve_stage(10.0, rng.standard_normal(120))
 
 
