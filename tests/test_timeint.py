@@ -160,8 +160,8 @@ def test_solve_stage_residual_contract():
 
 
 def _stage_system(ndim):
-    """A k = 2 backward-Euler stage system (I - gamma D) x = b on a remapped
-    noisy field, the stepper and the system's matvec."""
+    """The stepper, the matvec of I - gamma D and the right-hand side b of a
+    k = 2 backward-Euler stage on a remapped noisy field."""
     rng = np.random.default_rng(5)
     if ndim == 1:
         mesh, v = Mesh1D(0.0, 2 * np.pi, 24), sine_1d()
