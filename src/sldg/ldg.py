@@ -53,10 +53,11 @@ class LDGOperator:
     (ndim n) x n matrix whose rows are the gradient's axis components, and
     ``div`` lays the divergence sweeps side by side, n x (ndim n), so the
     operator is ``div @ grad``.  ``apply`` runs the two products in turn,
-    which keeps constants in the nullspace to rounding (the pre-multiplied
-    matrix ``op`` trades that exactness for a single product usable for
-    sparsity inspection; it is built on first access).  ``symbol`` gives
-    the same operator in Fourier space.
+    which keeps constants in the nullspace to rounding.  The pre-multiplied
+    matrix ``op``, built on first access, trades that exactness for a single
+    product: the iterative stage solve's Krylov products use it, and its
+    residual check and D x use ``apply_flat``.  ``symbol`` gives the same
+    operator in Fourier space.
     """
 
     mesh: Mesh1D | Mesh2D

@@ -107,13 +107,23 @@ def _line_crossings(coeffs: np.ndarray, levels: np.ndarray) -> np.ndarray:
     Returns (E, L, 2).  Both roots come from the cancellation-free pair
     q/a, c/q: a straight edge (a = 0) gets c/q = -c/b and an infinite q/a,
     and a negative discriminant gives NaN.  A touch is a double root, so
-    it cuts the edge once and no piece's midpoint can be the touch point.
+    it cuts the edge once and no piece's midpoint can be the touch point;
+    an apex that misses the level by less than SNAP_TOL touches it, since
+    snapping would put a midpoint there on the line.  Each edge's quadratic
+    is first scaled by the power of two that brings max(|a|, |b|) into
+    [1/2, 1): that is exact, so the roots are unchanged, and b * b cannot
+    underflow however small the coefficients.
     """
-    c = coeffs[:, None, 0] - levels
-    b, a = coeffs[:, None, 1], coeffs[:, None, 2]
+    shift = -np.frexp(np.maximum(np.abs(coeffs[:, None, 1]), np.abs(coeffs[:, None, 2])))[1]
+    c = np.ldexp(coeffs[:, None, 0] - levels, shift)
+    b, a = np.ldexp(coeffs[:, None, 1], shift), np.ldexp(coeffs[:, None, 2], shift)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        disc = b * b - 4.0 * a * c
+        # the apex's distance from the level, in unscaled units, is |disc / 4a|
+        touch = (disc < 0.0) & (np.abs(np.ldexp(disc / (4.0 * a), -shift)) <= SNAP_TOL)
+        q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
         roots = np.stack([q / a, c / q], axis=-1)
+        roots = np.where(touch[..., None], (-b / (2.0 * a))[..., None], roots)
     inside = (roots > END_MARGIN) & (roots < 1.0 - END_MARGIN)
     return np.where(inside, roots, np.nan)
 
@@ -132,8 +142,8 @@ def split_edges_at_gridlines(edges_idx: np.ndarray):
     rows = [np.zeros((E, 1)), np.ones((E, 1))]
     for axis in (0, 1):
         lo, hi = quadratic_range(edges_idx[:, axis, :])
-        first = np.ceil(lo)
-        count = np.floor(hi) - first + 1.0       # lines the edge only touches too
+        first = np.ceil(lo - SNAP_TOL)
+        count = np.floor(hi + SNAP_TOL) - first + 1.0     # lines the edge only touches too
         step = np.arange(count.max(initial=0.0))
         levels = np.where(step < count[:, None], first[:, None] + step, np.nan)
         rows.append(_line_crossings(edges_idx[:, axis, :], levels).reshape(E, -1))

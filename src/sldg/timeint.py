@@ -9,10 +9,9 @@ the tableaus are stiffly accurate, the final stage is the step solution.
 Upstream geometries (one sparse remap operator per ordered pair of stage
 times) are cached and, for velocity fields without explicit time dependence,
 reused across steps.  The stage systems ``(I - gamma D) x = b`` are solved
-either iteratively on the factored LDG sweeps or, with the ``direct``
-solver, exactly: on the uniform periodic mesh ``I - gamma D`` is
-block-circulant, so ``rfftn`` over the cells splits it into one d x d block
-per wavenumber.  The block inverses are computed on the first direct solve
+either iteratively or, with the ``direct`` solver, exactly: on the uniform
+periodic mesh ``I - gamma D`` is block-circulant, so ``rfftn`` over the
+cells splits it into one d x d block per wavenumber.  The block inverses are computed on the first direct solve
 for each distinct diagonal coefficient and cached; a solve is then a forward
 transform, a batched block product and an inverse transform.
 
@@ -26,6 +25,13 @@ recurrence instead of orthogonalization against every earlier basis vector.
 The Euclidean residual still decides when a solve is done.  ``minres`` is
 this module's own; the tests compare its iterates with
 ``scipy.sparse.linalg.minres`` on the symmetrized system.
+
+The Krylov products use the pre-multiplied matrix ``LDGOperator.op``, one
+sparse product each.  The residual check that accepts a solve, and the D x
+that feeds the later stages' explicit terms, use the factored sweeps
+``apply_flat``, which keep constants in the nullspace to rounding: D x
+carries no mass, whichever product the recurrence ran on.  The direct
+solver never builds ``op``.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse.linalg as spla  # noqa: F401  unused here; perfbench/tracing.py proxies this name
+from scipy.linalg.blas import daxpy, dscal
 
 from .characteristics import VelocityField
 from .core import DGField, mass_vector, project, total_mass
@@ -162,6 +169,10 @@ def minres(matvec: Callable[[np.ndarray], np.ndarray], w: np.ndarray, b: np.ndar
     x.  ``maxiter`` caps the iterations of all passes together, and a
     singular tridiagonal on a closed Krylov space ends the solve.  A zero b
     gives x = 0 without iterating.
+
+    Each iteration updates its vectors in place, the axpys by level-1 BLAS,
+    so ``matvec`` must return a new float64 array, which becomes the next
+    Lanczos vector.
     """
     n = b.size
     bnrm = float(np.linalg.norm(b))
@@ -176,15 +187,17 @@ def minres(matvec: Callable[[np.ndarray], np.ndarray], w: np.ndarray, b: np.ndar
     while rnorm > atol and its < maxiter:
         wv = w * r
         eta = math.sqrt(r @ wv)       # the residual's w-norm, estimated, up to sign
-        v_old, v, wv, beta = 0.0, r / eta, wv / eta, 0.0
-        d_old = d = np.zeros(n)
+        v, beta = r, 0.0
+        v /= eta
+        wv /= eta
+        v_old, d_old, d = np.zeros(n), np.zeros(n), np.zeros(n)
         c_old, s_old, c, s = 1.0, 0.0, 1.0, 0.0
         while its < maxiter:
             p = matvec(v)
             alpha = float(wv @ p)
-            p -= alpha * v
-            p -= beta * v_old
-            wp = w * p
+            p = daxpy(v, p, a=-alpha)
+            p = daxpy(v_old, p, a=-beta)
+            wp = np.multiply(w, p, out=wv)
             beta_next = math.sqrt(p @ wp)
             # rotate the new column (beta, alpha, beta_next) of the tridiagonal
             a0 = c * alpha - c_old * s * beta
@@ -195,12 +208,18 @@ def minres(matvec: Callable[[np.ndarray], np.ndarray], w: np.ndarray, b: np.ndar
             if a1 == 0.0:       # singular on a closed Krylov space: no pass gets further
                 return x, its, float(np.linalg.norm(b - matvec(x))) <= atol
             c_old, s_old, c, s = c, s, a0 / a1, beta_next / a1
-            d_old, d = d, (v - a3 * d_old - a2 * d) / a1
-            x += (c * eta) * d
+            # d_new = (v - a3 d_old - a2 d) / a1, written over d_old
+            d_new = dscal(-a3, d_old)
+            d_new = daxpy(v, d_new)
+            d_new = daxpy(d, d_new, a=-a2)
+            d_old, d = d, dscal(1.0 / a1, d_new)
+            x = daxpy(d, x, a=c * eta)
             eta *= -s
             if abs(eta) <= ptol:
                 break
-            v_old, v, wv, beta = v, p / beta_next, wp / beta_next, beta_next
+            v_old, v, wv, beta = v, p, wp, beta_next
+            v /= beta_next
+            wv /= beta_next
         r = b - matvec(x)
         rnorm = float(np.linalg.norm(r))
         ptol *= atol / max(rnorm, atol)
@@ -280,10 +299,11 @@ class Stepper:
         """Sparse remap operator for the pair (t_hi -> t_lo); None = identity."""
         if abs(t_hi - t_lo) < 1e-14:
             return None
+        # keys from Python floats: round() on an np.float64 is several times slower
         if self.velocity.time_dependent:
-            key = (round(t_hi, 12), round(t_lo, 12))
+            key = (round(float(t_hi), 12), round(float(t_lo), 12))
         else:
-            key = round(t_hi - t_lo, 12)
+            key = round(float(t_hi - t_lo), 12)
         R = self._remap_cache.get(key)
         if R is None:
             assemble = (assemble_remap_1d, partial(assemble_remap_2d, mode=self.mode))[self.ndim - 1]
@@ -299,8 +319,16 @@ class Stepper:
     # -- implicit stage systems ----------------------------------------------
 
     def _apply_system(self, gamma: float, x: np.ndarray) -> np.ndarray:
-        """(I - gamma D) x through the factored sweeps (exact nullspace)."""
-        return x - gamma * self.ldg.apply_flat(x)
+        """(I - gamma D) x through the pre-multiplied ``ldg.op``, one sparse product.
+
+        This is MINRES's matvec.  ``op`` moves constants out of the nullspace
+        by rounding, which costs the Krylov recurrence nothing; the residual
+        check and D x in ``solve_stage`` use the factored sweeps.
+        """
+        y = self.ldg.op @ x
+        y *= -gamma
+        y += x
+        return y
 
     def solve_stage(self, gamma: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (M - gamma * M D) x = rhs to the configured residual.
@@ -350,7 +378,7 @@ class Stepper:
         return np.fft.irfftn(xh, s=shape, axes=axes).ravel()
 
     def _system_inverse(self, gamma: float) -> np.ndarray:
-        key = round(gamma, 15)
+        key = round(float(gamma), 15)
         inv = self._system_cache.get(key)
         if inv is None:
             symbol = self.ldg.symbol()

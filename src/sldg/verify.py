@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .characteristics import constant_1d, constant_2d, sine_1d, swirling, trace_back
+from .characteristics import SNAP_TOL, constant_1d, constant_2d, sine_1d, swirling, trace_back
 from .core import Basis, Mesh1D, Mesh2D, QuadratureRule, gauss_rule, mass_vector, project
 from .ldg import FluxChoice, assemble_ldg_1d, assemble_ldg_2d, dissipativity_check
 from .remap1d import assemble_remap_1d, fit_tests, traced_interval_points
@@ -34,13 +34,24 @@ def _restrict(seg: np.ndarray, s0: float, s1: float) -> np.ndarray:
 
 
 def _crossings(c: float, b: float, a: float) -> list:
-    """Roots of c + b s + a s^2 inside (0, 1), free of cancellation for small a."""
+    """Roots of c + b s + a s^2 inside (0, 1), free of cancellation for small a.
+
+    An apex within SNAP_TOL of zero is a double root.  The coefficients are
+    first scaled by the power of two that brings max(|a|, |b|) into
+    [1/2, 1), which is exact and keeps b * b from underflowing.
+    """
+    if abs(c) > 2.0 * (abs(a) + abs(b)):
+        return []           # |b s + a s^2| <= |a| + |b| on [0, 1]; this also bounds the scaled c
+    shift = -math.frexp(max(abs(a), abs(b)))[1]
+    c, b, a = math.ldexp(c, shift), math.ldexp(b, shift), math.ldexp(a, shift)
     if a == 0.0:
         roots = [-c / b] if b != 0.0 else []
     else:
         disc = b * b - 4.0 * a * c
         if disc < 0.0:
-            return []
+            apex = -b / (2.0 * a)
+            touch = abs(math.ldexp(disc / (4.0 * a), -shift)) <= SNAP_TOL and 0.0 < apex < 1.0
+            return [apex] if touch else []
         q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
         roots = [q / a] + ([c / q] if q != 0.0 else [])
     return sorted(r for r in roots if 0.0 < r < 1.0)

@@ -27,7 +27,7 @@ from sldg.remap2d_matrix import (
     tracked_points,
     unique_edges,
 )
-from sldg.verify import clip_to_rect, clipped_loads, clipped_rows, green_integral
+from sldg.verify import _crossings, clip_to_rect, clipped_loads, clipped_rows, green_integral
 
 
 def random_field(mesh, k, seed=0):
@@ -425,6 +425,11 @@ def test_split_tangent_parabola_is_cut_once_at_the_touch():
     line, in the row above the edge; the double root cuts it there once."""
     s0, s1 = split((0.2, 1.5), (0.45, 1.0), (0.7, 1.5))
     assert s0.tolist() == [0.0, 0.5] and s1.tolist() == [0.5, 1.0]
+    # rounding in the coefficients (a = -2.4000000000000004) leaves this apex
+    # 1e-16 below y = 1 with a negative discriminant; it still touches the
+    # line, or the whole edge would land in the row above it
+    s0, s1 = split((0.2, 0.4), (0.45, 1.0), (0.7, 0.4))
+    assert s0.size == 2 and s1[0] == pytest.approx(0.5, abs=1e-15)
     # a parabola that stays clear of the line is not cut
     s0, s1 = split((0.2, 1.5), (0.45, 1.1), (0.7, 1.5))
     assert s0.tolist() == [0.0]
@@ -444,3 +449,11 @@ def test_split_overshoot_to_vertex_keeps_no_short_piece(monkeypatch):
     monkeypatch.setattr(remap2d_matrix, "END_MARGIN", SNAP_TOL)
     _, s0, s1 = split_edges_at_gridlines(edge)
     assert np.min(s1 - s0) < 1e-11
+
+
+def test_split_tiny_coefficients_do_not_underflow():
+    """y = 4.7e-198 (2 s^2 - s) crosses y = 0 at s = 1/2.  Unscaled, b * b
+    underflows to zero, which puts the cut at s = 1/4."""
+    s0, s1 = split((0.0, 0.0), (0.0, 0.0), (0.0, 4.7e-198))
+    assert s0.tolist() == [0.0, 0.5] and s1.tolist() == [0.5, 1.0]
+    assert _crossings(0.0, -4.7e-198, 9.4e-198) == [0.5]

@@ -90,9 +90,7 @@ def test_remap_invariants_on_random_fields(terms, nx, ny, k, mode, cfl, seed):
         pass
 
 
-# coordinates far below a cell width only make the discriminant underflow
-coordinate = st.one_of(st.floats(-3.0, 3.0).filter(lambda x: x == 0.0 or abs(x) > 1e-9),
-                       st.integers(-6, 6).map(lambda i: 0.5 * i))
+coordinate = st.one_of(st.floats(-3.0, 3.0), st.integers(-6, 6).map(lambda i: 0.5 * i))
 point = st.tuples(coordinate, coordinate)
 
 

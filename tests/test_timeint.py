@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from sldg import timeint
 from sldg.characteristics import constant_1d, constant_2d, rigid_rotation, sine_1d, zero_field
 from sldg.core import DGField, Mesh1D, Mesh2D, mass_vector, project, total_mass
-from sldg.ldg import FluxChoice, LDGOperator
+from sldg.ldg import FLUX_CHOICES, FluxChoice, LDGOperator
 from sldg.remap1d import assemble_remap_1d
 from sldg.timeint import (
     ButcherTableau,
@@ -135,6 +135,28 @@ def test_direct_step_applies_diffusion_once_per_stage(monkeypatch):
     assert "op" not in st.ldg.__dict__
 
 
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_gmres_step_applies_factored_sweeps_once_per_stage(ndim, monkeypatch):
+    """MINRES's products run on the pre-multiplied operator; the factored
+    sweeps run once per stage, for the residual check whose D x feeds the
+    later stages."""
+    if ndim == 1:
+        mesh, v = Mesh1D(0.0, 2 * np.pi, 16), sine_1d()
+        g, u = (lambda x, t: np.cos(x) * t), project(np.sin, mesh, 2)
+    else:
+        mesh, v = Mesh2D(0.0, 2 * np.pi, 0.0, 2 * np.pi, 6, 5), constant_2d(1.0, 0.5)
+        g = lambda x, y, t: np.cos(x + y) * t
+        u = project(lambda x, y: np.sin(x) * np.cos(y), mesh, 2)
+    st = Stepper(mesh, 2, v, eps=0.3, source=g, tab="dirk4", solver=LinearSolverConfig("gmres"))
+    calls = []
+    apply_flat = LDGOperator.apply_flat
+    monkeypatch.setattr(LDGOperator, "apply_flat",
+                        lambda self, x: calls.append(x) or apply_flat(self, x))
+    st.step(u, 0.2)
+    assert len(calls) == tableau("dirk4").stages
+    assert st.last_iterations > 0 and "op" in st.ldg.__dict__
+
+
 def test_solve_stage_zero_eps_is_mass_inverse():
     mesh = Mesh1D(0.0, 2 * np.pi, 10)
     st = Stepper(mesh, 1, constant_1d(1.0), eps=0.0)
@@ -173,6 +195,25 @@ def _stage_system(ndim):
     u.coeffs += 0.2 * rng.standard_normal(u.coeffs.shape)
     b = st._apply_remap(st._remap(0.2, 0.0), u.coeffs) / st.mass
     return st, partial(st._apply_system, 0.7 * 0.2), b
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("flux", [FluxChoice(x, y) for x in FLUX_CHOICES for y in FLUX_CHOICES],
+                         ids=lambda f: f"{f.x}-{f.y}")
+def test_krylov_product_matches_factored_sweeps(ndim, k, flux):
+    # MINRES multiplies by the pre-multiplied op; the residual check by the
+    # factored sweeps.  Both must be the same I - gamma D to rounding.
+    if ndim == 1:
+        mesh, v = Mesh1D(0.0, 2 * np.pi, 8), constant_1d(1.0)
+    else:
+        mesh, v = Mesh2D(0.0, 2 * np.pi, 0.0, 2 * np.pi, 7, 6), constant_2d(1.0, 0.5)
+    st = Stepper(mesh, k, v, eps=1.0, flux=flux)
+    rng = np.random.default_rng(k)
+    for gamma in (1e-3, 0.3, 10.0):
+        x = rng.standard_normal(st.mass.size)
+        ref = x - gamma * st.ldg.apply_flat(x)
+        assert np.linalg.norm(st._apply_system(gamma, x) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
