@@ -11,9 +11,10 @@ times) are cached and, for velocity fields without explicit time dependence,
 reused across steps.  The stage systems ``(I - gamma D) x = b`` are solved
 either iteratively or, with the ``direct`` solver, exactly: on the uniform
 periodic mesh ``I - gamma D`` is block-circulant, so ``rfftn`` over the
-cells splits it into one d x d block per wavenumber.  The block inverses are computed on the first direct solve
-for each distinct diagonal coefficient and cached; a solve is then a forward
-transform, a batched block product and an inverse transform.
+cells splits it into one d x d block per wavenumber.  The block inverses
+are computed on the first direct solve for each distinct diagonal
+coefficient and cached; a solve is then a forward transform, a batched
+block product and an inverse transform.
 
 The iterative solver is the paper's unpreconditioned GMRES, run in the mass
 inner product.  ``M D`` is symmetric (``ldg.dissipativity_check`` states
