@@ -119,6 +119,8 @@ def remap_matrix(mesh, k: int, owner: np.ndarray, col: np.ndarray, row: np.ndarr
                          return_inverse=True)
     agg = sp.csr_matrix((weight, (inv, row)), shape=(key.size, len(moments)))
     W = agg @ moments.reshape(len(moments), -1)
+    # each intermediate is dropped once used: they set an assembly's peak memory
+    del agg, inv
     o, *c = np.unravel_index(key, (mesh.ncells, *span))
     c = np.stack(c, axis=1) + low
 
@@ -127,7 +129,9 @@ def remap_matrix(mesh, k: int, owner: np.ndarray, col: np.ndarray, row: np.ndarr
                                   (2 * k + 1,) * mesh.ndim)
     psi = cfit[o] @ _monomials(basis, c + 0.5 - centers[o])          # tests in the cell's frame
     phi = _monomials(basis, np.zeros(mesh.ndim))
-    blocks = psi @ W[:, hankel] @ phi.T
+    blocks = psi @ W[:, hankel]
+    del psi, W
+    blocks = blocks @ phi.T
     cells = np.ravel_multi_index(tuple(np.mod(c, mesh.shape).T), mesh.shape, order="F")
     indptr = np.searchsorted(o, np.arange(mesh.ncells + 1))
     n = mesh.ncells * basis.dim

@@ -267,6 +267,38 @@ def unique_edges(mesh: Mesh2D, feet: np.ndarray):
     return first, side, twin, off
 
 
+def _piece_moments(mesh: Mesh2D, k: int, mode: str, seg: np.ndarray, s0: np.ndarray,
+                   s1: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """Moment tables (2P, 2k+1, 2k+1) of the P pieces ``seg[p]`` over [s0, s1].
+
+    Row p is piece p's table in its own column ``cell[p]``, the contour
+    integral of Q_a eta^b dy with Q_a = int xi^a from the column's left
+    edge to the piece; row P + p is its table in a full column, where Q_a
+    is the constant q_a, so that table is q (x) E.
+    """
+    # the moments the blocks read (total degree <= 2k) have integrands of
+    # degree up to 2k+1 in the parameter on straight pieces and 4k+3 on
+    # curved ones; both node counts are exact for those
+    nodes, weights = gauss_rule((k + 2) if mode != "qc" else (2 * k + 2))
+    sg = 0.5 * (s0 + s1)[:, None] + (s1 - s0)[:, None] * nodes              # (P, G)
+    x, y = eval_quadratic(seg[:, :, None, :], sg[:, None, :]).transpose(1, 0, 2)
+    # contour weight per node, with dx dy turning cell units into area
+    wg = (mesh.dx * mesh.dy) * weights * (s1 - s0)[:, None]
+    wg *= eval_quadratic_deriv(seg[:, 1, None, :], sg)
+    eta = powers(y - cell[:, 1, None] - 0.5, 2 * k + 1)                     # (P, G, 2k+1)
+    a = np.arange(1, 2 * k + 2)
+    Q = powers(x - cell[:, 0, None] - 0.5, 2 * k + 2)[..., 1:]
+    Q -= (-0.5) ** a
+    Q /= a
+    Q *= wg[..., None]
+    P = len(seg)
+    moments = np.empty((2 * P, 2 * k + 1, 2 * k + 1))
+    np.matmul(np.swapaxes(Q, 1, 2), eta, out=moments[:P])
+    q = (0.5 ** a - (-0.5) ** a) / a
+    np.multiply(q[:, None], np.einsum("pg,pgb->pb", wg, eta)[:, None, :], out=moments[P:])
+    return moments
+
+
 def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
                       v: VelocityField, mode: str = "quad") -> sp.bsr_matrix:
     """Block-sparse 2D remap operator over global coefficients: load = R @ u.
@@ -296,25 +328,7 @@ def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
     seg = edges[first[eid], side[eid]]                                      # (P, 2, 3)
     cell = np.floor(snap_index(eval_quadratic(seg, 0.5 * (s0 + s1)[:, None]))).astype(int)
 
-    # the moments the blocks read (total degree <= 2k) have integrands of
-    # degree up to 2k+1 in the parameter on straight pieces and 4k+3 on
-    # curved ones; both node counts are exact for those
-    nodes, weights = gauss_rule((k + 2) if mode != "qc" else (2 * k + 2))
-    sg = 0.5 * (s0 + s1)[:, None] + (s1 - s0)[:, None] * nodes              # (P, G)
-    x, y = eval_quadratic(seg[:, :, None, :], sg[:, None, :]).transpose(1, 0, 2)
-    # contour weight per node, with dx dy turning cell units into area
-    wg = (mesh.dx * mesh.dy) * weights * (s1 - s0)[:, None]
-    wg = wg * eval_quadratic_deriv(seg[:, 1, None, :], sg)
-    eta = powers(y - cell[:, 1, None] - 0.5, 2 * k + 1)                     # (P, G, 2k+1)
-    # a piece's moments in its own column: the contour integral of
-    # Q_a eta^b dy, Q_a = int xi^a from the column's left edge to the piece;
-    # in a full column Q_a is the constant q_a, so that table is q (x) E
-    a = np.arange(1, 2 * k + 2)
-    Q = (powers(x - cell[:, 0, None] - 0.5, 2 * k + 2)[..., 1:] - (-0.5) ** a) / a
-    own = np.swapaxes(wg[..., None] * Q, 1, 2) @ eta                        # (P, 2k+1, 2k+1)
-    q = (0.5 ** a - (-0.5) ** a) / a
-    full = q[:, None] * np.einsum("pg,pgb->pb", wg, eta)[:, None, :]
-    moments = np.concatenate([own, full])
+    moments = _piece_moments(mesh, k, mode, seg, s0, s1, cell)
 
     # every piece serves its edge's first owner, and a shared edge's pieces
     # also its twin, negated and shifted into the twin's frame

@@ -7,14 +7,18 @@ diffusion contribution of the current stage on the left-hand side.  Because
 the tableaus are stiffly accurate, the final stage is the step solution.
 
 Upstream geometries (one sparse remap operator per ordered pair of stage
-times) are cached and, for velocity fields without explicit time dependence,
-reused across steps.  The stage systems ``(I - gamma D) x = b`` are solved
-either iteratively or, with the ``direct`` solver, exactly: on the uniform
-periodic mesh ``I - gamma D`` is block-circulant, so ``rfftn`` over the
-cells splits it into one d x d block per wavenumber.  The block inverses
-are computed on the first direct solve for each distinct diagonal
-coefficient and cached; a solve is then a forward transform, a batched
-block product and an inverse transform.
+times) are cached for as long as they can be reused.  With a time-dependent
+velocity the operators from a stage's time serve that stage alone and are
+dropped before the next stage; otherwise an operator depends only on its
+duration and is kept for as long as the step size does not change.
+
+The stage systems ``(I - gamma D) x = b`` are solved either iteratively
+or, with the ``direct`` solver, exactly: on the uniform periodic mesh
+``I - gamma D`` is block-circulant, so ``rfftn`` over the cells splits it
+into one d x d block per wavenumber.  The block inverses are computed on
+the first direct solve for each distinct diagonal coefficient and cached;
+a solve is then a forward transform, a batched block product and an
+inverse transform.
 
 The iterative solver is the paper's unpreconditioned GMRES, run in the mass
 inner product.  ``M D`` is symmetric (``ldg.dissipativity_check`` states
@@ -258,7 +262,9 @@ class Stepper:
 
     Holds the assembled diffusion operator, the per-geometry remap matrices
     and, for the direct solver, the Fourier block inverses of the implicit
-    systems.  Meshes are periodic and ``eps`` must be nonnegative.
+    systems.  A remap matrix lives for one stage when the velocity depends
+    on time, and otherwise for as long as ``dt`` does not change.  Meshes
+    are periodic and ``eps`` must be nonnegative.
     ``source_mass`` is the mass the source term has added since ``run``
     last started (or since construction, for bare ``step`` calls), as the
     tableau's weights integrate it; a step that raises adds nothing.  The
@@ -296,15 +302,17 @@ class Stepper:
 
     # -- remap operators ----------------------------------------------------
 
+    def _remap_key(self, t_hi: float, t_lo: float):
+        # keys from Python floats: round() on an np.float64 is several times slower
+        if self.velocity.time_dependent:
+            return round(float(t_hi), 12), round(float(t_lo), 12)
+        return round(float(t_hi - t_lo), 12)
+
     def _remap(self, t_hi: float, t_lo: float):
         """Sparse remap operator for the pair (t_hi -> t_lo); None = identity."""
         if abs(t_hi - t_lo) < 1e-14:
             return None
-        # keys from Python floats: round() on an np.float64 is several times slower
-        if self.velocity.time_dependent:
-            key = (round(float(t_hi), 12), round(float(t_lo), 12))
-        else:
-            key = round(float(t_hi - t_lo), 12)
+        key = self._remap_key(t_hi, t_lo)
         R = self._remap_cache.get(key)
         if R is None:
             assemble = (assemble_remap_1d, partial(assemble_remap_2d, mode=self.mode))[self.ndim - 1]
@@ -411,18 +419,27 @@ class Stepper:
     def step(self, u: DGField, dt: float) -> DGField:
         """One DIRK step from u.time to u.time + dt."""
         t = u.time
-        if self.velocity.time_dependent:
-            self._remap_cache.clear()
         A, c = self.tableau.A, self.tableau.c
         s = self.tableau.stages
+        # pure transport: no stage feeds a later one, so only the last stage counts
+        explicit = self.eps != 0.0 or self.source is not None
+        stages = range(0 if explicit else s - 1, s)
+        if not self.velocity.time_dependent:
+            # an operator depends on its duration only: keep those this step uses
+            keep = {self._remap_key(t + c[ii] * dt, t_lo) for ii in stages
+                    for t_lo in [t] + [t + c[jj] * dt for jj in range(ii)
+                                       if explicit and A[ii, jj] != 0.0]}
+            self._remap_cache = {key: R for key, R in self._remap_cache.items() if key in keep}
 
         # stage_f[j] is stage j's explicit term eps D x_j + g_j (None if neither)
         stage_f: list[np.ndarray | None] = [None] * s
         added = 0.0
         x = u.coeffs.ravel()
-        # pure transport: no stage feeds a later one, so only the last stage counts
-        for ii in range(s - 1 if self.eps == 0.0 and self.source is None else 0, s):
+        for ii in stages:
             t_ii = t + c[ii] * dt
+            if self.velocity.time_dependent:
+                # every operator from t_ii serves this stage alone
+                self._remap_cache.clear()
             rhs = self._apply_remap(self._remap(t_ii, t), u.coeffs)
             for jj in range(ii):
                 if A[ii, jj] != 0.0 and stage_f[jj] is not None:
