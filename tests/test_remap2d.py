@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sldg import remap2d_matrix
+from sldg.bench import make_problem
 from sldg.characteristics import (
     CELL_POINTS_9,
     SNAP_TOL,
@@ -27,6 +29,7 @@ from sldg.remap2d_matrix import (
     tracked_points,
     unique_edges,
 )
+from sldg.timeint import cfl_to_dt
 from sldg.verify import _crossings, clip_to_rect, clipped_loads, clipped_rows, green_integral
 
 
@@ -293,6 +296,22 @@ def test_matrix_matches_clipping_oracle(mode, k):
     loads = (R @ u.coeffs.ravel()).reshape(mesh.ncells, -1)
     oracle = clipped_loads(mesh, u, 0.3, 0.0, v, mode, range(mesh.ncells))
     assert np.max(np.abs(oracle - loads)) < 1e-12
+
+
+@pytest.mark.parametrize("problem, n, mode, cfl", [("ex35", 40, "qc", 1.0), ("ex34", 60, "quad", 10.0)])
+def test_assembly_working_set_is_bounded(problem, n, mode, cfl):
+    # the assembly's temporaries peak at a few times the operator it returns
+    p = make_problem(problem)
+    mesh = p.mesh(n)
+    dt = cfl_to_dt(cfl, mesh, p.velocity)
+    assemble_remap_2d(mesh, 2, dt, 0.0, p.velocity, mode)      # fill the cached tables
+    tracemalloc.start()
+    try:
+        R = assemble_remap_2d(mesh, 2, 0.75 * dt, 0.25 * dt, p.velocity, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (R.data.nbytes + R.indices.nbytes + R.indptr.nbytes)
 
 
 def test_large_displacement_covered_cells():

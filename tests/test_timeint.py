@@ -388,6 +388,50 @@ def test_time_dependent_velocity_cache_cleared():
     assert u.time == pytest.approx(0.2)
 
 
+def test_time_dependent_cache_holds_one_stage():
+    # every operator from a stage's time serves that stage alone, so the
+    # cache never holds another stage's operators
+    from sldg.characteristics import swirling
+
+    mesh = Mesh2D(-np.pi, np.pi, -np.pi, np.pi, 8, 8)
+    st = Stepper(mesh, 1, swirling(1.0), eps=0.1, tab="dirk4")
+    sizes = []
+    remap = st._remap
+
+    def checked(t_hi, t_lo):
+        R = remap(t_hi, t_lo)
+        assert {t for t, _ in st._remap_cache} == {round(float(t_hi), 12)}
+        sizes.append(len(st._remap_cache))
+        return R
+
+    st._remap = checked
+    u = project(lambda x, y: np.cos(x) * np.cos(y), mesh, 1)
+    st.step(st.step(u, 0.1), 0.1)
+    # DIRK4's last stage remaps from the step start and from all four earlier stages
+    assert max(sizes) == st.tableau.stages
+
+
+def test_time_independent_cache_keeps_only_this_steps_operators(monkeypatch):
+    mesh = Mesh1D(0.0, 2 * np.pi, 16)
+    assembled = []
+    monkeypatch.setattr(timeint, "assemble_remap_1d",
+                        lambda *args: assembled.append(args) or assemble_remap_1d(*args))
+    st = Stepper(mesh, 1, sine_1d(), eps=0.1, tab="dirk4")
+    u = st.step(project(np.sin, mesh, 1), 0.1)
+    first = dict(st._remap_cache)
+    assert len(first) == len(assembled) == 10
+    u = st.step(u, 0.1)
+    assert len(assembled) == 10
+    assert st._remap_cache.keys() == first.keys()
+    assert all(st._remap_cache[key] is R for key, R in first.items())
+    # a new dt leaves only the new step's operators
+    fresh = Stepper(mesh, 1, sine_1d(), eps=0.1, tab="dirk4")
+    fresh.step(u, 0.07)
+    st.step(u, 0.07)
+    assert st._remap_cache.keys() == fresh._remap_cache.keys()
+    assert not st._remap_cache.keys() & first.keys()
+
+
 @pytest.mark.parametrize("method", ["direct", "gmres"])
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_source_mass_budget(ndim, method):
