@@ -7,11 +7,12 @@ contraction of the overlap's monomial moments W[a] = int xi^a, with
 xi = r - col - 1/2 the background cell's frame (r the cell-index
 coordinate).  The assemblers (``assemble_remap_1d`` here,
 ``assemble_remap_2d`` in ``remap2d_matrix``) compute only moment tables;
-``remap_matrix`` sums signed copies of them per (owner, background cell)
-and contracts each sum into one d x d block of the remap operator R
-(load = R @ coefficients), a ``bsr_matrix``: convert it with ``.tocsr()``
-before slicing.  In 1D the tests interpolate through the feet of each
-cell's Gauss-Lobatto points and a piece's moments are closed form.
+``sum_moments`` sums signed copies of them per (owner, background cell),
+the assembler drops its tables, and ``remap_matrix`` contracts each sum
+into one d x d block of the remap operator R (load = R @ coefficients), a
+``bsr_matrix``: convert it with ``.tocsr()`` before slicing.  In 1D the
+tests interpolate through the feet of each cell's Gauss-Lobatto points and
+a piece's moments are closed form.
 """
 
 from __future__ import annotations
@@ -96,42 +97,68 @@ def _monomials(basis: Basis, s: np.ndarray) -> np.ndarray:
     return (m @ _shift_table(basis.k, basis.ndim)).reshape(s.shape[:-1] + (basis.dim,) * 2)
 
 
-def remap_matrix(mesh, k: int, owner: np.ndarray, col: np.ndarray, row: np.ndarray,
-                 weight: np.ndarray, moments: np.ndarray, centers: np.ndarray,
-                 cfit: np.ndarray) -> sp.bsr_matrix:
-    """Block-sparse remap operator from signed sums of overlap moment tables.
+# Blocks are contracted, and 2D piece moments integrated, in runs of this many
+# rows, so that a run's temporaries stay a small, fixed size whatever the mesh.
+# Chosen by the tracemalloc peak and time of one assembly (CHANGES.md).
+RUN = 1024
+
+
+def runs(n: int):
+    """Consecutive (lo, hi) ranges covering range(n): max(RUN, 2) rows each, the last up to one more.
+
+    No range holds a single row unless n = 1.  numpy's matmul takes a
+    matrix-vector path for a one-row operand, which can round differently
+    from the matrix-matrix path a product over all n rows takes.
+    """
+    bounds = np.append(np.arange(0, max(n - 1, 1), max(RUN, 2)), n)
+    return zip(bounds[:-1], bounds[1:])
+
+
+def sum_moments(mesh, owner: np.ndarray, col: np.ndarray, row: np.ndarray, weight: np.ndarray,
+                moments: np.ndarray):
+    """Signed sums of overlap moment tables per (owner, unwrapped background cell).
 
     ``moments`` (M, 2k+1[, 2k+1]) holds monomial moment tables in a
     background cell's frame times the cell measure.  Contribution i adds
-    ``weight[i] * moments[row[i]]`` to the block of upstream cell
+    ``weight[i] * moments[row[i]]`` to the sum of upstream cell
     ``owner[i]`` and the background cell whose unwrapped per-axis index is
-    ``col[i]`` (shape (n, ndim)); ``centers`` and ``cfit`` come from
-    ``fit_tests``.  One sparse aggregation product sums the tables W per
-    (owner, unwrapped cell), and each sum becomes the block Psi H Phi^T of
-    row block ``owner``: the owner's tests re-expanded about the unwrapped
-    cell's center, the Hankel gather H[alpha, beta] = W[alpha + beta] and
-    the basis's monomial coefficients.
+    ``col[i]`` (shape (n, ndim)), in one sparse aggregation product.
+    Returns the sums' owners o (sorted), unwrapped cells c (n, ndim) and
+    flattened tables W, one row per sum.
     """
-    basis = Basis(k, mesh.ndim)
     low = col.min(axis=0)
     span = tuple(col.max(axis=0) - low + 1)
     key, inv = np.unique(np.ravel_multi_index((owner, *(col - low).T), (mesh.ncells, *span)),
                          return_inverse=True)
     agg = sp.csr_matrix((weight, (inv, row)), shape=(key.size, len(moments)))
     W = agg @ moments.reshape(len(moments), -1)
-    # each intermediate is dropped once used: they set an assembly's peak memory
-    del agg, inv
     o, *c = np.unravel_index(key, (mesh.ncells, *span))
-    c = np.stack(c, axis=1) + low
+    return o, np.stack(c, axis=1) + low, W
 
+
+def remap_matrix(mesh, k: int, o: np.ndarray, c: np.ndarray, W: np.ndarray, centers: np.ndarray,
+                 cfit: np.ndarray) -> sp.bsr_matrix:
+    """Block-sparse remap operator from the summed moment tables of ``sum_moments``.
+
+    Each sum W becomes the block Psi H Phi^T of row block o, column block
+    the cell c wraps to: the owner's tests re-expanded about the unwrapped
+    cell's center (``centers`` and ``cfit`` come from ``fit_tests``), the
+    Hankel gather H[alpha, beta] = W[alpha + beta] and the basis's monomial
+    coefficients.  The blocks are contracted in runs of RUN straight into
+    the operator's data array, so the temporaries stay a few runs' size.
+    The caller drops its moment table before this call: with it, the
+    assembly's peak would be the table's size on top of the blocks'.
+    """
+    basis = Basis(k, mesh.ndim)
     e = np.array(basis.modes)
     hankel = np.ravel_multi_index(tuple(e[:, None, ax] + e[None, :, ax] for ax in range(mesh.ndim)),
                                   (2 * k + 1,) * mesh.ndim)
-    psi = cfit[o] @ _monomials(basis, c + 0.5 - centers[o])          # tests in the cell's frame
-    phi = _monomials(basis, np.zeros(mesh.ndim))
-    blocks = psi @ W[:, hankel]
-    del psi, W
-    blocks = blocks @ phi.T
+    phi_t = _monomials(basis, np.zeros(mesh.ndim)).T
+    blocks = np.empty((len(o), basis.dim, basis.dim))
+    for lo, hi in runs(len(o)):
+        # the owner's tests in the cell's frame, times the Hankel gather
+        psi = cfit[o[lo:hi]] @ _monomials(basis, c[lo:hi] + 0.5 - centers[o[lo:hi]])
+        np.matmul(psi @ W[lo:hi, hankel], phi_t, out=blocks[lo:hi])
     cells = np.ravel_multi_index(tuple(np.mod(c, mesh.shape).T), mesh.shape, order="F")
     indptr = np.searchsorted(o, np.arange(mesh.ncells + 1))
     n = mesh.ncells * basis.dim
@@ -180,5 +207,7 @@ def assemble_remap_1d(mesh: Mesh1D, k: int, t_end: float, t_start: float,
     lo, hi = np.maximum(rlo[owner], idx), np.minimum(rhi[owner], idx + 1)
     a = np.arange(1, 2 * k + 2)
     moments = (powers(hi - idx - 0.5, 2 * k + 2) - powers(lo - idx - 0.5, 2 * k + 2))[:, 1:] / a
-    return remap_matrix(mesh, k, owner, idx[:, None], np.arange(owner.size), np.ones(owner.size),
-                        mesh.dx * moments, centers, cfit)
+    o, c, W = sum_moments(mesh, owner, idx[:, None], np.arange(owner.size), np.ones(owner.size),
+                          mesh.dx * moments)
+    del moments
+    return remap_matrix(mesh, k, o, c, W, centers, cfit)

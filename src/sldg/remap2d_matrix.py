@@ -25,9 +25,9 @@ exactly along it: F[a, b], the contour integral of Q_a eta^b dy with Q_a
 the partial x-integral of xi^a in the piece's own column, and, for every
 full column left of it, q (x) E, where q_a is the x-integral of xi^a over
 a whole column and E[b] the contour integral of eta^b dy.  Full columns
-thus cost no node work.  ``remap1d.remap_matrix`` sums the tables per
-(owner, background cell) in one signed sparse product and turns the sums
-into R.
+thus cost no node work.  ``remap1d.sum_moments`` sums the tables per
+(owner, background cell) in one signed sparse product, and
+``remap1d.remap_matrix`` turns the sums into R.
 
 An interior edge bounds two upstream cells in opposite directions, and
 both trace it from the same lattice points, so it is split and integrated
@@ -58,7 +58,7 @@ import scipy.sparse as sp
 from .characteristics import (CELL_POINTS_4, CELL_POINTS_9, SNAP_TOL, VelocityField, cell_lattice,
                               snap_index, substeps_for, trace_back)
 from .core import Mesh2D, gauss_rule
-from .remap1d import GeometryError, fit_tests, powers, remap_matrix
+from .remap1d import GeometryError, fit_tests, powers, remap_matrix, runs, sum_moments
 
 # Crossings this close to an edge's ends are dropped.  A piece must be long
 # enough that its snapped midpoint, which picks its cell, cannot land on the
@@ -274,29 +274,57 @@ def _piece_moments(mesh: Mesh2D, k: int, mode: str, seg: np.ndarray, s0: np.ndar
     Row p is piece p's table in its own column ``cell[p]``, the contour
     integral of Q_a eta^b dy with Q_a = int xi^a from the column's left
     edge to the piece; row P + p is its table in a full column, where Q_a
-    is the constant q_a, so that table is q (x) E.
+    is the constant q_a, so that table is q (x) E.  The node values are
+    formed for RUN pieces at a time.
     """
     # the moments the blocks read (total degree <= 2k) have integrands of
     # degree up to 2k+1 in the parameter on straight pieces and 4k+3 on
     # curved ones; both node counts are exact for those
     nodes, weights = gauss_rule((k + 2) if mode != "qc" else (2 * k + 2))
-    sg = 0.5 * (s0 + s1)[:, None] + (s1 - s0)[:, None] * nodes              # (P, G)
-    x, y = eval_quadratic(seg[:, :, None, :], sg[:, None, :]).transpose(1, 0, 2)
-    # contour weight per node, with dx dy turning cell units into area
-    wg = (mesh.dx * mesh.dy) * weights * (s1 - s0)[:, None]
-    wg *= eval_quadratic_deriv(seg[:, 1, None, :], sg)
-    eta = powers(y - cell[:, 1, None] - 0.5, 2 * k + 1)                     # (P, G, 2k+1)
     a = np.arange(1, 2 * k + 2)
-    Q = powers(x - cell[:, 0, None] - 0.5, 2 * k + 2)[..., 1:]
-    Q -= (-0.5) ** a
-    Q /= a
-    Q *= wg[..., None]
+    q = (0.5 ** a - (-0.5) ** a) / a
     P = len(seg)
     moments = np.empty((2 * P, 2 * k + 1, 2 * k + 1))
-    np.matmul(np.swapaxes(Q, 1, 2), eta, out=moments[:P])
-    q = (0.5 ** a - (-0.5) ** a) / a
-    np.multiply(q[:, None], np.einsum("pg,pgb->pb", wg, eta)[:, None, :], out=moments[P:])
+    for lo, hi in runs(P):
+        curve, t0, t1, cx = seg[lo:hi], s0[lo:hi], s1[lo:hi], cell[lo:hi]
+        sg = 0.5 * (t0 + t1)[:, None] + (t1 - t0)[:, None] * nodes             # (n, G)
+        x, y = eval_quadratic(curve[:, :, None, :], sg[:, None, :]).transpose(1, 0, 2)
+        # contour weight per node, with dx dy turning cell units into area
+        wg = (mesh.dx * mesh.dy) * weights * (t1 - t0)[:, None]
+        wg *= eval_quadratic_deriv(curve[:, 1, None, :], sg)
+        eta = powers(y - cx[:, 1, None] - 0.5, 2 * k + 1)                    # (n, G, 2k+1)
+        Q = powers(x - cx[:, 0, None] - 0.5, 2 * k + 2)[..., 1:]
+        Q -= (-0.5) ** a
+        Q /= a
+        Q *= wg[..., None]
+        np.matmul(np.swapaxes(Q, 1, 2), eta, out=moments[lo:hi])
+        np.multiply(q[:, None], np.einsum("pg,pgb->pb", wg, eta)[:, None, :],
+                    out=moments[P + lo:P + hi])
     return moments
+
+
+def _contributions(first, twin, off, anchor, eid, cell):
+    """(owner, col, row, weight) of every (piece, column) pair, for ``sum_moments``.
+
+    Every piece serves its edge's first owner, and a shared edge's pieces
+    also its twin, negated and shifted into the twin's frame.  Q at the
+    piece sums the full columns from the owner's anchor to the piece's
+    column (moment rows P + p) and the partial integral inside it (row p).
+    """
+    shared = np.flatnonzero(eid < twin.size)
+    piece = np.concatenate([np.arange(eid.size), shared])
+    owner = np.concatenate([first[eid], twin[eid[shared]]])
+    sign = np.concatenate([np.ones(eid.size), -np.ones(shared.size)])
+    cell = np.concatenate([cell, cell[shared] + off[eid[shared]]])
+    nfull = cell[:, 0] - anchor[owner]
+    if np.any(nfull < 0):
+        raise GeometryError("piece column left of its owner's anchor (geometry bug)")
+    rep = np.repeat(np.arange(piece.size), nfull)
+    fx = anchor[owner[rep]] + np.arange(rep.size) - (np.cumsum(nfull) - nfull)[rep]
+    return (np.concatenate([owner, owner[rep]]),
+            np.concatenate([cell, np.stack([fx, cell[rep, 1]], axis=1)]),
+            np.concatenate([piece, eid.size + piece[rep]]),
+            np.concatenate([sign, sign[rep]]))
 
 
 def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
@@ -326,26 +354,11 @@ def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
     first, side, twin, off = unique_edges(mesh, feet)
     eid, s0, s1 = split_edges_at_gridlines(edges[first, side])
     seg = edges[first[eid], side[eid]]                                      # (P, 2, 3)
+    # each intermediate is dropped once used: they set an assembly's peak memory
+    del feet, edges
     cell = np.floor(snap_index(eval_quadratic(seg, 0.5 * (s0 + s1)[:, None]))).astype(int)
-
     moments = _piece_moments(mesh, k, mode, seg, s0, s1, cell)
-
-    # every piece serves its edge's first owner, and a shared edge's pieces
-    # also its twin, negated and shifted into the twin's frame
-    shared = np.flatnonzero(eid < twin.size)
-    piece = np.concatenate([np.arange(eid.size), shared])
-    owner = np.concatenate([first[eid], twin[eid[shared]]])
-    sign = np.concatenate([np.ones(eid.size), -np.ones(shared.size)])
-    cell = np.concatenate([cell, cell[shared] + off[eid[shared]]])
-
-    # Q at the piece sums the full columns from the owner's anchor to the
-    # piece's column and the partial integral inside it
-    nfull = cell[:, 0] - anchor[owner]
-    if np.any(nfull < 0):
-        raise GeometryError("piece column left of its owner's anchor (geometry bug)")
-    rep = np.repeat(np.arange(piece.size), nfull)
-    fx = anchor[owner[rep]] + np.arange(rep.size) - (np.cumsum(nfull) - nfull)[rep]
-    col = np.concatenate([cell, np.stack([fx, cell[rep, 1]], axis=1)])
-    return remap_matrix(mesh, k, np.concatenate([owner, owner[rep]]), col,
-                        np.concatenate([piece, eid.size + piece[rep]]),
-                        np.concatenate([sign, sign[rep]]), moments, centers, cfit)
+    del seg, s0, s1
+    o, c, W = sum_moments(mesh, *_contributions(first, twin, off, anchor, eid, cell), moments)
+    del moments
+    return remap_matrix(mesh, k, o, c, W, centers, cfit)

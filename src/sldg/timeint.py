@@ -8,9 +8,10 @@ the tableaus are stiffly accurate, the final stage is the step solution.
 
 Upstream geometries (one sparse remap operator per ordered pair of stage
 times) are cached for as long as they can be reused.  With a time-dependent
-velocity the operators from a stage's time serve that stage alone and are
-dropped before the next stage; otherwise an operator depends only on its
-duration and is kept for as long as the step size does not change.
+velocity the operators from a stage's time serve that stage's load alone
+and are dropped as soon as it is built, so a step returns holding none;
+otherwise an operator depends only on its duration and is kept for as long
+as the step size does not change.
 
 The stage systems ``(I - gamma D) x = b`` are solved either iteratively
 or, with the ``direct`` solver, exactly: on the uniform periodic mesh
@@ -262,9 +263,9 @@ class Stepper:
 
     Holds the assembled diffusion operator, the per-geometry remap matrices
     and, for the direct solver, the Fourier block inverses of the implicit
-    systems.  A remap matrix lives for one stage when the velocity depends
-    on time, and otherwise for as long as ``dt`` does not change.  Meshes
-    are periodic and ``eps`` must be nonnegative.
+    systems.  A remap matrix lives until its stage's load is built when the
+    velocity depends on time, and otherwise for as long as ``dt`` does not
+    change.  Meshes are periodic and ``eps`` must be nonnegative.
     ``source_mass`` is the mass the source term has added since ``run``
     last started (or since construction, for bare ``step`` calls), as the
     tableau's weights integrate it; a step that raises adds nothing.  The
@@ -437,15 +438,15 @@ class Stepper:
         x = u.coeffs.ravel()
         for ii in stages:
             t_ii = t + c[ii] * dt
-            if self.velocity.time_dependent:
-                # every operator from t_ii serves this stage alone
-                self._remap_cache.clear()
             rhs = self._apply_remap(self._remap(t_ii, t), u.coeffs)
             for jj in range(ii):
                 if A[ii, jj] != 0.0 and stage_f[jj] is not None:
                     rhs = rhs + A[ii, jj] * dt * self._apply_remap(
                         self._remap(t_ii, t + c[jj] * dt), stage_f[jj]
                     )
+            if self.velocity.time_dependent:
+                # every operator from t_ii served this stage's load alone
+                self._remap_cache.clear()
             g = None
             if self.source is not None:
                 proj = project(lambda *x: self.source(*x, t_ii), self.mesh, self.k)

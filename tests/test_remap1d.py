@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sldg import remap1d
 from sldg.characteristics import GL_POINTS, VelocityField, constant_1d, sine_1d, zero_field
 from sldg.core import Basis, DGField, Mesh1D, gauss_rule, mass_vector, project, total_mass
 from sldg.remap1d import (GeometryError, _monomials, assemble_remap_1d, fit_tests,
@@ -209,6 +210,20 @@ def test_matrix_matches_oracle(k):
     loads = (R @ u.coeffs.ravel()).reshape(mesh.n, -1)
     rc = traced_interval_points(mesh, k, 0.3, 0.0, sine_1d())
     assert np.max(np.abs(oracle_loads(mesh, u, rc) - loads)) < 1e-13
+
+
+@pytest.mark.parametrize("run", [1, 7, 10**9])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_runs_leave_operator_unchanged(monkeypatch, k, run):
+    # blocks are contracted RUN at a time; where the runs break must not
+    # change a bit of R (1,198 blocks, so the default RUN splits too)
+    mesh = Mesh1D(0.0, 2 * np.pi, 600)
+    default = assemble_remap_1d(mesh, k, 0.3, 0.0, sine_1d())
+    monkeypatch.setattr(remap1d, "RUN", run)
+    R = assemble_remap_1d(mesh, k, 0.3, 0.0, sine_1d())
+    for got, want in ((R.data, default.data), (R.indices, default.indices),
+                      (R.indptr, default.indptr)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_backward_pair_supported():

@@ -411,6 +411,16 @@ def test_time_dependent_cache_holds_one_stage():
     assert max(sizes) == st.tableau.stages
 
 
+def test_run_returns_holding_no_time_dependent_operators():
+    # a later step or run never reuses them, so none outlives its stage
+    from sldg.characteristics import swirling
+
+    mesh = Mesh2D(-np.pi, np.pi, -np.pi, np.pi, 8, 8)
+    st = Stepper(mesh, 1, swirling(1.0), eps=0.1, tab="dirk4")
+    st.run(project(lambda x, y: np.cos(x) * np.cos(y), mesh, 1), 0.25, 0.1)
+    assert not st._remap_cache
+
+
 def test_time_independent_cache_keeps_only_this_steps_operators(monkeypatch):
     mesh = Mesh1D(0.0, 2 * np.pi, 16)
     assembled = []
