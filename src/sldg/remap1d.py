@@ -114,17 +114,22 @@ def runs(n: int):
     return zip(bounds[:-1], bounds[1:])
 
 
+def block_moments(k: int, ndim: int) -> np.ndarray:
+    """Flat indices, in a (2k+1)^ndim table, of the moments blocks read: total degree <= 2k."""
+    return np.flatnonzero(np.indices((2 * k + 1,) * ndim).sum(axis=0) <= 2 * k)
+
+
 def sum_moments(mesh, owner: np.ndarray, col: np.ndarray, row: np.ndarray, weight: np.ndarray,
                 moments: np.ndarray):
     """Signed sums of overlap moment tables per (owner, unwrapped background cell).
 
-    ``moments`` (M, 2k+1[, 2k+1]) holds monomial moment tables in a
-    background cell's frame times the cell measure.  Contribution i adds
+    ``moments`` (M, m) holds rows of monomial moments in a background
+    cell's frame times the cell measure.  Contribution i adds
     ``weight[i] * moments[row[i]]`` to the sum of upstream cell
     ``owner[i]`` and the background cell whose unwrapped per-axis index is
     ``col[i]`` (shape (n, ndim)), in one sparse aggregation product.
-    Returns the sums' owners o (sorted), unwrapped cells c (n, ndim) and
-    flattened tables W, one row per sum.
+    Returns the sums' owners o and unwrapped cells c (n, ndim), sorted by
+    o and then by c, and their rows W.
     """
     low = col.min(axis=0)
     span = tuple(col.max(axis=0) - low + 1)
@@ -143,8 +148,9 @@ def remap_matrix(mesh, k: int, o: np.ndarray, c: np.ndarray, W: np.ndarray, cent
     Each sum W becomes the block Psi H Phi^T of row block o, column block
     the cell c wraps to: the owner's tests re-expanded about the unwrapped
     cell's center (``centers`` and ``cfit`` come from ``fit_tests``), the
-    Hankel gather H[alpha, beta] = W[alpha + beta] and the basis's monomial
-    coefficients.  The blocks are contracted in runs of RUN straight into
+    Hankel gather H[alpha, beta] = W[alpha + beta] from W's leading
+    ``block_moments`` entries and the basis's monomial coefficients.  The
+    blocks are contracted in runs of RUN straight into
     the operator's data array, so the temporaries stay a few runs' size.
     The caller drops its moment table before this call: with it, the
     assembly's peak would be the table's size on top of the blocks'.
@@ -153,6 +159,7 @@ def remap_matrix(mesh, k: int, o: np.ndarray, c: np.ndarray, W: np.ndarray, cent
     e = np.array(basis.modes)
     hankel = np.ravel_multi_index(tuple(e[:, None, ax] + e[None, :, ax] for ax in range(mesh.ndim)),
                                   (2 * k + 1,) * mesh.ndim)
+    hankel = np.searchsorted(block_moments(k, mesh.ndim), hankel)
     phi_t = _monomials(basis, np.zeros(mesh.ndim)).T
     blocks = np.empty((len(o), basis.dim, basis.dim))
     for lo, hi in runs(len(o)):

@@ -8,26 +8,20 @@ and reuses it across stages and steps whenever the velocity field allows.
 All geometry lives in cell-index coordinates, as in 1D: the traced feet,
 the test fits, the edge curves and their splitting at grid lines.
 
-The assembly avoids region chaining altogether by anchoring the Green
-auxiliary function globally per upstream cell: with Q(x, y) the
-x-antiderivative of the integrand started at a grid line left of the whole
-upstream cell, horizontal boundary pieces contribute nothing (dy = 0) and
-all vertical grid lines become interior to Q's definition, so only the
-upstream boundary pieces themselves carry contour contributions.  Q at a
-point inside background column ix is a sum over the columns from the anchor
-to ix: full-column integrals for the columns left of ix and the partial
-integral inside ix.  Any per-owner anchor gives the same loads because two
-anchors change Q by a function of y only, whose contour integral over the
-closed upstream boundary vanishes.
-
-So each boundary piece needs two tables of monomial moments, integrated
-exactly along it: F[a, b], the contour integral of Q_a eta^b dy with Q_a
-the partial x-integral of xi^a in the piece's own column, and, for every
-full column left of it, q (x) E, where q_a is the x-integral of xi^a over
-a whole column and E[b] the contour integral of eta^b dy.  Full columns
-thus cost no node work.  ``remap1d.sum_moments`` sums the tables per
-(owner, background cell) in one signed sparse product, and
-``remap1d.remap_matrix`` turns the sums into R.
+The assembly avoids region chaining by Green's theorem in each background
+cell: with Q_a(x) the x-integral of xi^a from the cell's left edge, the
+moment int xi^a eta^b over the cell's part of an upstream cell is the
+contour integral of Q_a eta^b dy around that part.  Horizontal grid lines
+(dy = 0) and the left edge (Q_a = 0) add nothing.  Each upstream boundary
+piece adds F[a, b], the integral of Q_a eta^b dy along it, to its own
+column; the right edge, where Q_a is q_a, the integral over a whole
+column, adds q (x) S.  As eta^b dy integrates to zero around any closed
+contour, S[b], its integral up the edge's part in the upstream cell, is
+the row's E[b] = int eta^b dy summed over the pieces right of the column,
+and a row's blocks run from its leftmost piece column to its rightmost.
+``remap1d.sum_moments`` sums F (reduced to the moments blocks read) and E
+per (owner, background cell) in one signed sparse product; ``_full_columns``
+adds q (x) S by suffix sums along each row, and ``remap_matrix`` forms R.
 
 An interior edge bounds two upstream cells in opposite directions, and
 both trace it from the same lattice points, so it is split and integrated
@@ -58,7 +52,8 @@ import scipy.sparse as sp
 from .characteristics import (CELL_POINTS_4, CELL_POINTS_9, SNAP_TOL, VelocityField, cell_lattice,
                               snap_index, substeps_for, trace_back)
 from .core import Mesh2D, gauss_rule
-from .remap1d import GeometryError, fit_tests, powers, remap_matrix, runs, sum_moments
+from .remap1d import (GeometryError, block_moments, fit_tests, powers, remap_matrix, runs,
+                      sum_moments)
 
 # Crossings this close to an edge's ends are dropped.  A piece must be long
 # enough that its snapped midpoint, which picks its cell, cannot land on the
@@ -269,23 +264,18 @@ def unique_edges(mesh: Mesh2D, feet: np.ndarray):
 
 def _piece_moments(mesh: Mesh2D, k: int, mode: str, seg: np.ndarray, s0: np.ndarray,
                    s1: np.ndarray, cell: np.ndarray) -> np.ndarray:
-    """Moment tables (2P, 2k+1, 2k+1) of the P pieces ``seg[p]`` over [s0, s1].
+    """Rows [F | E] of the pieces ``seg[p]`` over [s0, s1], F in column ``cell[p]``.
 
-    Row p is piece p's table in its own column ``cell[p]``, the contour
-    integral of Q_a eta^b dy with Q_a = int xi^a from the column's left
-    edge to the piece; row P + p is its table in a full column, where Q_a
-    is the constant q_a, so that table is q (x) E.  The node values are
-    formed for RUN pieces at a time.
+    The node values are formed for RUN pieces at a time.
     """
     # the moments the blocks read (total degree <= 2k) have integrands of
     # degree up to 2k+1 in the parameter on straight pieces and 4k+3 on
     # curved ones; both node counts are exact for those
     nodes, weights = gauss_rule((k + 2) if mode != "qc" else (2 * k + 2))
     a = np.arange(1, 2 * k + 2)
-    q = (0.5 ** a - (-0.5) ** a) / a
-    P = len(seg)
-    moments = np.empty((2 * P, 2 * k + 1, 2 * k + 1))
-    for lo, hi in runs(P):
+    keep = block_moments(k, 2)
+    moments = np.empty((len(seg), keep.size + 2 * k + 1))
+    for lo, hi in runs(len(seg)):
         curve, t0, t1, cx = seg[lo:hi], s0[lo:hi], s1[lo:hi], cell[lo:hi]
         sg = 0.5 * (t0 + t1)[:, None] + (t1 - t0)[:, None] * nodes             # (n, G)
         x, y = eval_quadratic(curve[:, :, None, :], sg[:, None, :]).transpose(1, 0, 2)
@@ -297,34 +287,45 @@ def _piece_moments(mesh: Mesh2D, k: int, mode: str, seg: np.ndarray, s0: np.ndar
         Q -= (-0.5) ** a
         Q /= a
         Q *= wg[..., None]
-        np.matmul(np.swapaxes(Q, 1, 2), eta, out=moments[lo:hi])
-        np.multiply(q[:, None], np.einsum("pg,pgb->pb", wg, eta)[:, None, :],
-                    out=moments[P + lo:P + hi])
+        moments[lo:hi, :keep.size] = (np.swapaxes(Q, 1, 2) @ eta).reshape(hi - lo, -1)[:, keep]
+        moments[lo:hi, keep.size:] = np.einsum("pg,pgb->pb", wg, eta)
     return moments
 
 
-def _contributions(first, twin, off, anchor, eid, cell):
-    """(owner, col, row, weight) of every (piece, column) pair, for ``sum_moments``.
+def _contributions(first, twin, off, eid, cell):
+    """(owner, (row, column), piece, sign) of every piece, for ``sum_moments``.
 
     Every piece serves its edge's first owner, and a shared edge's pieces
-    also its twin, negated and shifted into the twin's frame.  Q at the
-    piece sums the full columns from the owner's anchor to the piece's
-    column (moment rows P + p) and the partial integral inside it (row p).
+    also its twin, negated and shifted into the twin's frame.
     """
     shared = np.flatnonzero(eid < twin.size)
-    piece = np.concatenate([np.arange(eid.size), shared])
-    owner = np.concatenate([first[eid], twin[eid[shared]]])
-    sign = np.concatenate([np.ones(eid.size), -np.ones(shared.size)])
-    cell = np.concatenate([cell, cell[shared] + off[eid[shared]]])
-    nfull = cell[:, 0] - anchor[owner]
-    if np.any(nfull < 0):
-        raise GeometryError("piece column left of its owner's anchor (geometry bug)")
-    rep = np.repeat(np.arange(piece.size), nfull)
-    fx = anchor[owner[rep]] + np.arange(rep.size) - (np.cumsum(nfull) - nfull)[rep]
-    return (np.concatenate([owner, owner[rep]]),
-            np.concatenate([cell, np.stack([fx, cell[rep, 1]], axis=1)]),
-            np.concatenate([piece, eid.size + piece[rep]]),
-            np.concatenate([sign, sign[rep]]))
+    return (np.concatenate([first[eid], twin[eid[shared]]]),
+            np.concatenate([cell, cell[shared] + off[eid[shared]]])[:, ::-1],
+            np.concatenate([np.arange(eid.size), shared]),
+            np.concatenate([np.ones(eid.size), -np.ones(shared.size)]))
+
+
+def _full_columns(k: int, o: np.ndarray, c: np.ndarray, W: np.ndarray):
+    """Each (owner, row)'s blocks from its leftmost piece column to its rightmost, F + q (x) S,
+    from ``sum_moments``' [F | E] sums ordered by owner, row and column."""
+    keep, n, a = block_moments(k, 2), 2 * k + 1, np.arange(1, 2 * k + 2)
+    start = np.append(True, (np.diff(o) != 0) | (np.diff(c[:, 0]) != 0))
+    first, group = np.flatnonzero(start), np.cumsum(start) - 1
+    left = c[first, 1]
+    width = c[np.append(first[1:], len(o)) - 1, 1] - left + 1
+    base = np.cumsum(width) - width
+    block = np.repeat(np.arange(first.size), width)
+    col = np.arange(block.size) - base[block]                      # columns right of the leftmost
+    sums = np.zeros((block.size, W.shape[1]))
+    sums[base[group] + c[:, 1] - left[group]] = W
+    # E becomes its suffix sum along the row, so S at a column is E at the next
+    E, to_end = sums[:, keep.size:], (width - 1)[block] - col
+    for d in range(1, to_end.max(initial=0) + 1):
+        i = np.flatnonzero(to_end == d)
+        E[i] += E[i + 1]
+    i = np.flatnonzero(to_end > 0)
+    sums[i, :keep.size] += ((0.5 ** a - (-0.5) ** a) / a)[keep // n] * E[i + 1][:, keep % n]
+    return o[first][block], np.stack([left[block] + col, c[first, 0][block]], axis=1), sums
 
 
 def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
@@ -346,10 +347,8 @@ def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
     if folded.size:
         raise GeometryError(f"curved upstream cell {folded[0]} has nonpositive area")
     lo, hi = quadratic_range(edges)                                         # (C, 4, 2)
-    lo, hi = lo.min(axis=1), hi.max(axis=1)
-    if np.max(hi - lo) >= min(mesh.shape):
+    if np.max(hi.max(axis=1) - lo.min(axis=1)) >= min(mesh.shape):
         raise GeometryError("an upstream cell spans the whole domain (CFL too large)")
-    anchor = np.floor(snap_index(lo[:, 0])).astype(int)
 
     first, side, twin, off = unique_edges(mesh, feet)
     eid, s0, s1 = split_edges_at_gridlines(edges[first, side])
@@ -359,6 +358,7 @@ def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
     cell = np.floor(snap_index(eval_quadratic(seg, 0.5 * (s0 + s1)[:, None]))).astype(int)
     moments = _piece_moments(mesh, k, mode, seg, s0, s1, cell)
     del seg, s0, s1
-    o, c, W = sum_moments(mesh, *_contributions(first, twin, off, anchor, eid, cell), moments)
-    del moments
+    o, c, W = sum_moments(mesh, *_contributions(first, twin, off, eid, cell), moments)
+    del moments, eid, cell
+    o, c, W = _full_columns(k, o, c, W)
     return remap_matrix(mesh, k, o, c, W, centers, cfit)

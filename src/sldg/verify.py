@@ -8,8 +8,8 @@ The module also holds the reference the 2D remap assembler is checked
 against: a curved clipping oracle (``clip_chain``, ``clip_to_rect``,
 ``green_integral``, ``clipped_rows``) that forms every overlap of an upstream cell with a
 background cell as a closed chain of quadratic segments and integrates it
-by Green's theorem, independently of the assembler's global anchoring and
-piece assignment.
+by Green's theorem, independently of the assembler's piece assignment and
+of its right-edge terms summed along rows.
 """
 
 from __future__ import annotations

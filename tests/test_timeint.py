@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -538,3 +542,40 @@ def test_direct_solve_names_singular_block():
     with pytest.raises(SolverError, match=r"gamma=nan.*wavenumber \(0,\)"):
         st.solve_stage(float("nan"), np.ones(4))
     assert not st._system_cache
+
+
+_IMPORT_FLOOR = """
+import sys
+from sldg.bench import make_problem
+from sldg.core import project
+from sldg.timeint import LinearSolverConfig, Stepper, cfl_to_dt
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.sparse.linalg")))
+
+def step(problem, n, k, method):
+    p = make_problem(problem)
+    mesh = p.mesh(n)
+    st = Stepper(mesh, k, p.velocity, eps=p.eps, source=p.g, solver=LinearSolverConfig(method))
+    st.step(project(p.u0, mesh, k), cfl_to_dt(1.0, mesh, p.velocity))
+    return st
+
+step("ex34", 8, 2, "direct")
+step("ex32", 40, 1, "direct")
+assert not loaded(), loaded()
+assert step("ex34", 8, 1, "gmres").last_iterations > 0
+assert "scipy.linalg.blas" in sys.modules and "scipy.sparse.linalg" not in sys.modules, loaded()
+import sldg.timeint
+import scipy.sparse.linalg
+assert sldg.timeint.spla is scipy.sparse.linalg
+"""
+
+
+def test_import_floor_loads_scipy_linalg_only_on_the_krylov_path():
+    # direct steps in 1D and 2D load neither scipy.linalg nor scipy.sparse.linalg;
+    # a MINRES stage solve loads the BLAS wrappers, and timeint.spla still
+    # resolves to scipy.sparse.linalg for perfbench/tracing.py
+    src = str(Path(timeint.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_FLOOR], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
