@@ -165,35 +165,13 @@ def make_problem(name: str, eps: float | None = None, T: float | None = None) ->
 PROBLEMS = ("ex31", "ex32", "ex33", "ex34", "ex35", "ex34_shapes", "ex35_shapes")
 
 
-def pde_residual(problem: Problem, npoints: int = 100, h: float = 1e-4,
-                 seed: int = 0) -> float:
-    """Max finite-difference residual of the registered exact solution."""
-    if problem.exact is None:
-        raise ValueError(f"problem {problem.name} has no exact solution")
-    rng = np.random.default_rng(seed)
-    tpts = rng.uniform(0.05, max(problem.T, 0.1), npoints)
-    pts = [rng.uniform(lo + 0.1, hi - 0.1, npoints) for lo, hi in problem.bounds]
-
-    def u(x):
-        return problem.exact(*x, tpts)
-
-    def flux(x, axis):
-        return np.reshape(problem.velocity(*x, tpts), (problem.ndim, -1))[axis] * u(x)
-
-    ut = (problem.exact(*pts, tpts + h) - problem.exact(*pts, tpts - h)) / (2 * h)
-    conv = lap = 0.0
-    for axis in range(problem.ndim):
-        fwd = [p + h if a == axis else p for a, p in enumerate(pts)]
-        bwd = [p - h if a == axis else p for a, p in enumerate(pts)]
-        conv = conv + (flux(fwd, axis) - flux(bwd, axis)) / (2 * h)
-        lap = lap + (u(fwd) - 2 * u(pts) + u(bwd)) / h**2
-    gsrc = problem.g(*pts, tpts) if problem.g is not None else 0.0
-    return float(np.max(np.abs(ut + conv - problem.eps * lap - gsrc)))
-
-
 # ---------------------------------------------------------------------------
 # study drivers
 # ---------------------------------------------------------------------------
+
+# a temporal study fits its slopes over this many of the largest CFLs
+FIT_POINTS = 4
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -211,7 +189,6 @@ class StudyConfig:
     T: float | None = None
     reference: int | None = None      # spatial: fine-mesh reference resolution
     cfl_ref: float | None = None      # temporal: self-reference CFL
-    fit_points: int = 4               # temporal: slope fitted over largest CFLs
     dt_dx: float | None = None        # time step as a multiple of dx (overrides cfl)
     out: str | None = None
     plot_points: int = 100
@@ -358,7 +335,7 @@ def run_temporal_study(cfg: StudyConfig) -> StudyResult:
         l1, l2, linf = table_norms(uT, exact, problem.T, problem.volume)
         rows.append(ResultRow(f"{cfl:g}", cfl, l1, l2, linf, seconds=seconds, mass_defect=defect))
         eff_dt[cfl] = dt
-    fit = sorted(rows, key=lambda r: r.n)[-cfg.fit_points:]
+    fit = sorted(rows, key=lambda r: r.n)[-FIT_POINTS:]
     slopes = {
         "l1": fit_slope([eff_dt[r.n] for r in fit], [r.l1 for r in fit]),
         "l2": fit_slope([eff_dt[r.n] for r in fit], [r.l2 for r in fit]),

@@ -6,12 +6,12 @@ diffusion and source fields of the earlier stages, with the implicit
 diffusion contribution of the current stage on the left-hand side.  Because
 the tableaus are stiffly accurate, the final stage is the step solution.
 
-Upstream geometries (one sparse remap operator per ordered pair of stage
-times) are cached for as long as they can be reused.  With a time-dependent
-velocity the operators from a stage's time serve that stage's load alone
-and are dropped as soon as it is built, so a step returns holding none;
-otherwise an operator depends only on its duration and is kept for as long
-as the step size does not change.
+Each stage remaps from the step start and from the earlier stage times,
+one sparse remap operator per ordered pair of times.  With a time-dependent
+velocity every pair is used once, so its operator is assembled, applied and
+dropped, and at most one is alive at a time; otherwise an operator depends
+only on its duration and is cached for as long as the step size does not
+change.
 
 The stage systems ``(I - gamma D) x = b`` are solved either iteratively
 or, with the ``direct`` solver, exactly: on the uniform periodic mesh
@@ -269,11 +269,11 @@ def _first_bad_block(system: np.ndarray) -> tuple[int, ...] | None:
 class Stepper:
     """Advances one convection-diffusion problem on a fixed mesh.
 
-    Holds the assembled diffusion operator, the per-geometry remap matrices
-    and, for the direct solver, the Fourier block inverses of the implicit
-    systems.  A remap matrix lives until its stage's load is built when the
-    velocity depends on time, and otherwise for as long as ``dt`` does not
-    change.  Meshes are periodic and ``eps`` must be nonnegative.
+    Holds the assembled diffusion operator, the remap matrices of a
+    time-independent velocity (kept for as long as ``dt`` does not change;
+    a time-dependent velocity's are never reused, so none is kept) and,
+    for the direct solver, the Fourier block inverses of the implicit
+    systems.  Meshes are periodic and ``eps`` must be nonnegative.
     ``source_mass`` is the mass the source term has added since ``run``
     last started (or since construction, for bare ``step`` calls), as the
     tableau's weights integrate it; a step that raises adds nothing.  The
@@ -303,6 +303,7 @@ class Stepper:
         self.mass = mass_vector(mesh, k)
         self.ldg: LDGOperator = (assemble_ldg_1d, assemble_ldg_2d)[self.ndim - 1](mesh, k, flux)
         self._remap_cache: dict = {}
+        self._remap_dt = None
         self._system_cache: dict = {}
         self.last_residual = 0.0
         self.last_iterations = 0
@@ -311,28 +312,23 @@ class Stepper:
 
     # -- remap operators ----------------------------------------------------
 
-    def _remap_key(self, t_hi: float, t_lo: float):
-        # keys from Python floats: round() on an np.float64 is several times slower
-        if self.velocity.time_dependent:
-            return round(float(t_hi), 12), round(float(t_lo), 12)
-        return round(float(t_hi - t_lo), 12)
-
     def _remap(self, t_hi: float, t_lo: float):
-        """Sparse remap operator for the pair (t_hi -> t_lo); None = identity."""
-        if abs(t_hi - t_lo) < 1e-14:
-            return None
-        key = self._remap_key(t_hi, t_lo)
+        """Sparse remap operator for the pair (t_hi -> t_lo).
+
+        A time-dependent velocity's operator is returned uncached: its pair
+        of times recurs in no other product.  Otherwise the operator depends
+        on the duration alone and is cached by it.
+        """
+        # looked up on each call: perfbench/tracing.py replaces these module names
+        assemble = (assemble_remap_1d, partial(assemble_remap_2d, mode=self.mode))[self.ndim - 1]
+        if self.velocity.time_dependent:
+            return assemble(self.mesh, self.k, t_hi, t_lo, self.velocity)
+        # a key from a Python float: round() on an np.float64 is several times slower
+        key = round(float(t_hi - t_lo), 12)
         R = self._remap_cache.get(key)
         if R is None:
-            assemble = (assemble_remap_1d, partial(assemble_remap_2d, mode=self.mode))[self.ndim - 1]
-            R = assemble(self.mesh, self.k, t_hi, t_lo, self.velocity)
-            self._remap_cache[key] = R
+            R = self._remap_cache[key] = assemble(self.mesh, self.k, t_hi, t_lo, self.velocity)
         return R
-
-    def _apply_remap(self, R, coeffs: np.ndarray) -> np.ndarray:
-        if R is None:
-            return self.mass * coeffs.ravel()
-        return R @ coeffs.ravel()
 
     # -- implicit stage systems ----------------------------------------------
 
@@ -433,12 +429,11 @@ class Stepper:
         # pure transport: no stage feeds a later one, so only the last stage counts
         explicit = self.eps != 0.0 or self.source is not None
         stages = range(0 if explicit else s - 1, s)
-        if not self.velocity.time_dependent:
-            # an operator depends on its duration only: keep those this step uses
-            keep = {self._remap_key(t + c[ii] * dt, t_lo) for ii in stages
-                    for t_lo in [t] + [t + c[jj] * dt for jj in range(ii)
-                                       if explicit and A[ii, jj] != 0.0]}
-            self._remap_cache = {key: R for key, R in self._remap_cache.items() if key in keep}
+        # the cached durations are fractions of one dt: drop them when it changes
+        dt_key = round(float(dt), 12)
+        if dt_key != self._remap_dt:
+            self._remap_cache.clear()
+            self._remap_dt = dt_key
 
         # stage_f[j] is stage j's explicit term eps D x_j + g_j (None if neither)
         stage_f: list[np.ndarray | None] = [None] * s
@@ -446,15 +441,10 @@ class Stepper:
         x = u.coeffs.ravel()
         for ii in stages:
             t_ii = t + c[ii] * dt
-            rhs = self._apply_remap(self._remap(t_ii, t), u.coeffs)
+            rhs = self._remap(t_ii, t) @ u.coeffs.ravel()
             for jj in range(ii):
                 if A[ii, jj] != 0.0 and stage_f[jj] is not None:
-                    rhs = rhs + A[ii, jj] * dt * self._apply_remap(
-                        self._remap(t_ii, t + c[jj] * dt), stage_f[jj]
-                    )
-            if self.velocity.time_dependent:
-                # every operator from t_ii served this stage's load alone
-                self._remap_cache.clear()
+                    rhs = rhs + A[ii, jj] * dt * (self._remap(t_ii, t + c[jj] * dt) @ stage_f[jj])
             g = None
             if self.source is not None:
                 proj = project(lambda *x: self.source(*x, t_ii), self.mesh, self.k)

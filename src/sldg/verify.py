@@ -154,12 +154,6 @@ def clipped_rows(mesh: Mesh2D, k: int, t_end: float, t_start: float, v, mode: st
     return rows * (mesh.dx * mesh.dy)
 
 
-def clipped_loads(mesh: Mesh2D, u, t_end: float, t_start: float, v, mode: str,
-                  cells) -> np.ndarray:
-    """Remap loads (len(cells), d) of ``cells`` from the clipping oracle."""
-    return clipped_rows(mesh, u.k, t_end, t_start, v, mode, cells) @ u.coeffs.ravel()
-
-
 def check_basis_orthogonality() -> tuple:
     worst = 0.0
     for k in (0, 1, 2):

@@ -84,7 +84,7 @@ def test_criterion3_temporal_orders_constant():
     oks, details = [], []
     for tab, expect in (("dirk2", 2.0), ("dirk3", 3.0), ("dirk4", 4.0)):
         cfg = StudyConfig("ex31", k=2, tableau=tab, meshes=(200,), cfl=CFL_LADDER,
-                          solver=DIRECT, fit_points=4)
+                          solver=DIRECT)
         res = run_temporal_study(cfg)
         slope = res.slopes["l1"]
         oks.append(abs(slope - expect) <= 0.3)

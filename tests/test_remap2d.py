@@ -30,7 +30,13 @@ from sldg.remap2d_matrix import (
     unique_edges,
 )
 from sldg.timeint import cfl_to_dt
-from sldg.verify import _crossings, clip_to_rect, clipped_loads, clipped_rows, green_integral
+from sldg.verify import _crossings, clip_to_rect, clipped_rows, green_integral
+
+
+def clipped_loads(mesh, u, t_end: float, t_start: float, v, mode: str,
+                  cells) -> np.ndarray:
+    """Remap loads (len(cells), d) of ``cells`` from the clipping oracle."""
+    return clipped_rows(mesh, u.k, t_end, t_start, v, mode, cells) @ u.coeffs.ravel()
 
 
 def random_field(mesh, k, seed=0):

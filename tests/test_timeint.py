@@ -197,7 +197,7 @@ def _stage_system(ndim):
         u = project(lambda x, y: np.sin(x) * np.cos(y), mesh, 2)
     st = Stepper(mesh, 2, v, eps=0.7, tab="be", solver=LinearSolverConfig("gmres", 1e-12))
     u.coeffs += 0.2 * rng.standard_normal(u.coeffs.shape)
-    b = st._apply_remap(st._remap(0.2, 0.0), u.coeffs) / st.mass
+    b = (st._remap(0.2, 0.0) @ u.coeffs.ravel()) / st.mass
     return st, partial(st._apply_system, 0.7 * 0.2), b
 
 
@@ -392,37 +392,63 @@ def test_time_dependent_velocity_cache_cleared():
     assert u.time == pytest.approx(0.2)
 
 
-def test_time_dependent_cache_holds_one_stage():
-    # every operator from a stage's time serves that stage alone, so the
-    # cache never holds another stage's operators
+def test_time_dependent_step_assembles_each_pair_once_and_caches_none(monkeypatch):
+    # no (t_hi, t_lo) pair recurs, so no operator is kept
     from sldg.characteristics import swirling
+    from sldg.remap2d_matrix import assemble_remap_2d
 
     mesh = Mesh2D(-np.pi, np.pi, -np.pi, np.pi, 8, 8)
     st = Stepper(mesh, 1, swirling(1.0), eps=0.1, tab="dirk4")
-    sizes = []
-    remap = st._remap
+    pairs = []
 
-    def checked(t_hi, t_lo):
-        R = remap(t_hi, t_lo)
-        assert {t for t, _ in st._remap_cache} == {round(float(t_hi), 12)}
-        sizes.append(len(st._remap_cache))
+    def assemble(mesh, k, t_hi, t_lo, v, mode):
+        assert not st._remap_cache
+        pairs.append((t_hi, t_lo))
+        return assemble_remap_2d(mesh, k, t_hi, t_lo, v, mode=mode)
+
+    monkeypatch.setattr(timeint, "assemble_remap_2d", assemble)
+    u = st.step(project(lambda x, y: np.cos(x) * np.cos(y), mesh, 1), 0.1)
+    assert not st._remap_cache
+    # DIRK4's dense tableau: stage ii remaps from the step start and from all ii earlier stages
+    t = [0.0] + [0.1 * c for c in st.tableau.c]
+    expect = [(t[ii + 1], t[jj]) for ii in range(5) for jj in range(ii + 1)]
+    assert pairs == expect
+    # three more steps, the last one truncated
+    st.run(u, 0.35, 0.1)
+    assert len(pairs) == len(set(pairs)) == 60
+    assert not st._remap_cache
+
+
+def test_time_dependent_step_holds_no_operator_while_assembling(monkeypatch):
+    # each operator is dropped once applied, so what the step holds when an
+    # assembly starts is a few vectors, less than one operator's bytes
+    import tracemalloc
+
+    from sldg.characteristics import swirling
+    from sldg.remap2d_matrix import assemble_remap_2d
+
+    mesh = Mesh2D(-np.pi, np.pi, -np.pi, np.pi, 16, 16)
+    st = Stepper(mesh, 2, swirling(1.0), eps=0.1, tab="dirk4", mode="qc",
+                 solver=LinearSolverConfig("direct"))
+    held, sizes = [], []
+
+    def assemble(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        R = assemble_remap_2d(*args, **kwargs)
+        sizes.append(R.data.nbytes + R.indices.nbytes + R.indptr.nbytes)
         return R
 
-    st._remap = checked
-    u = project(lambda x, y: np.cos(x) * np.cos(y), mesh, 1)
-    st.step(st.step(u, 0.1), 0.1)
-    # DIRK4's last stage remaps from the step start and from all four earlier stages
-    assert max(sizes) == st.tableau.stages
-
-
-def test_run_returns_holding_no_time_dependent_operators():
-    # a later step or run never reuses them, so none outlives its stage
-    from sldg.characteristics import swirling
-
-    mesh = Mesh2D(-np.pi, np.pi, -np.pi, np.pi, 8, 8)
-    st = Stepper(mesh, 1, swirling(1.0), eps=0.1, tab="dirk4")
-    st.run(project(lambda x, y: np.cos(x) * np.cos(y), mesh, 1), 0.25, 0.1)
-    assert not st._remap_cache
+    monkeypatch.setattr(timeint, "assemble_remap_2d", assemble)
+    u = st.step(project(lambda x, y: np.cos(x) * np.cos(y), mesh, 2), 0.1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held.clear()
+        st.step(u, 0.1)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 15
+    assert max(held) - base < min(sizes)
 
 
 def test_time_independent_cache_keeps_only_this_steps_operators(monkeypatch):
@@ -441,9 +467,16 @@ def test_time_independent_cache_keeps_only_this_steps_operators(monkeypatch):
     # a new dt leaves only the new step's operators
     fresh = Stepper(mesh, 1, sine_1d(), eps=0.1, tab="dirk4")
     fresh.step(u, 0.07)
-    st.step(u, 0.07)
+    u = st.step(u, 0.07)
     assert st._remap_cache.keys() == fresh._remap_cache.keys()
     assert not st._remap_cache.keys() & first.keys()
+    # a dt that differs below the keys' rounding is the same dt
+    second = dict(st._remap_cache)
+    count = len(assembled)
+    st.step(u, 0.07 + 3e-14)
+    assert len(assembled) == count
+    assert st._remap_cache.keys() == second.keys()
+    assert all(st._remap_cache[key] is R for key, R in second.items())
 
 
 @pytest.mark.parametrize("method", ["direct", "gmres"])
