@@ -32,12 +32,11 @@ The Euclidean residual still decides when a solve is done.  ``minres`` is
 this module's own; the tests compare its iterates with
 ``scipy.sparse.linalg.minres`` on the symmetrized system.
 
-The Krylov products use the pre-multiplied matrix ``LDGOperator.op``, one
-sparse product each.  The residual check that accepts a solve, and the D x
-that feeds the later stages' explicit terms, use the factored sweeps
-``apply_flat``, which keep constants in the nullspace to rounding: D x
-carries no mass, whichever product the recurrence ran on.  The direct
-solver never builds ``op``.
+``ldg.LDGOperator`` applies D as a block stencil.  The Krylov products use
+its CSR matrix ``op``, built on the first iterative solve (the direct solver
+never builds it).  The residual check and the D x that feeds later stages run
+the stencil (``apply_flat``), which keeps constants in the nullspace to
+rounding: D x carries no mass, whichever product the recurrence ran on.
 """
 
 from __future__ import annotations
@@ -269,7 +268,7 @@ def _first_bad_block(system: np.ndarray) -> tuple[int, ...] | None:
 class Stepper:
     """Advances one convection-diffusion problem on a fixed mesh.
 
-    Holds the assembled diffusion operator, the remap matrices of a
+    Holds the diffusion operator's stencil blocks, the remap matrices of a
     time-independent velocity (kept for as long as ``dt`` does not change;
     a time-dependent velocity's are never reused, so none is kept) and,
     for the direct solver, the Fourier block inverses of the implicit
@@ -337,7 +336,7 @@ class Stepper:
 
         This is MINRES's matvec.  ``op`` moves constants out of the nullspace
         by rounding, which costs the Krylov recurrence nothing; the residual
-        check and D x in ``solve_stage`` use the factored sweeps.
+        check and D x in ``solve_stage`` use the stencil sweeps.
         """
         y = self.ldg.op @ x
         y *= -gamma
