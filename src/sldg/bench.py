@@ -31,7 +31,7 @@ from .characteristics import (
     sine_1d,
     swirling,
 )
-from .core import DGField, Mesh1D, Mesh2D, norms, project, total_mass
+from .core import DGField, Mesh, norms, project, total_mass
 from .ldg import FluxChoice
 from .timeint import LinearSolverConfig, Stepper, cfl_to_dt
 
@@ -55,8 +55,8 @@ class Problem:
         """(lo, hi) of every axis."""
         return tuple(zip(self.domain[::2], self.domain[1::2]))
 
-    def mesh(self, n: int):
-        return (Mesh1D, Mesh2D)[self.ndim - 1](*self.domain, *(n,) * self.ndim)
+    def mesh(self, n: int) -> Mesh:
+        return Mesh(self.domain[::2], self.domain[1::2], (n,) * self.ndim)
 
     @property
     def volume(self) -> float:
@@ -195,9 +195,8 @@ class StudyConfig:
     cuts: tuple = ()
 
     def __post_init__(self):
-        if isinstance(self.meshes, tuple) and len(self.meshes) > 1:
-            if any(b <= a for a, b in zip(self.meshes, self.meshes[1:])):
-                raise ValueError("mesh list must be strictly increasing")
+        if any(b <= a for a, b in zip(self.meshes, self.meshes[1:])):
+            raise ValueError("mesh list must be strictly increasing")
 
 
 @dataclass
@@ -320,7 +319,7 @@ def run_temporal_study(cfg: StudyConfig) -> StudyResult:
     problem = make_problem(cfg.problem, cfg.eps, cfg.T)
     if not isinstance(cfg.cfl, tuple):
         raise ValueError("temporal study needs a tuple of CFL values")
-    n = cfg.meshes[-1] if isinstance(cfg.meshes, tuple) else int(cfg.meshes)
+    n = cfg.meshes[-1]
     if problem.exact is not None:
         exact = problem.exact
     elif cfg.cfl_ref is not None:
@@ -349,7 +348,7 @@ def run_temporal_study(cfg: StudyConfig) -> StudyResult:
 def run_qualitative(cfg: StudyConfig) -> StudyResult:
     """Advance one configuration and dump plot-ready samples and mass history."""
     problem = make_problem(cfg.problem, cfg.eps, cfg.T)
-    n = cfg.meshes[-1] if isinstance(cfg.meshes, tuple) else int(cfg.meshes)
+    n = cfg.meshes[-1]
     mesh = problem.mesh(n)
     stepper = _stepper(problem, mesh, cfg)
     dt = _time_step(problem, mesh, cfg, _first_cfl(cfg))
@@ -446,15 +445,14 @@ def emit_qualitative(result: StudyResult, field: DGField, masses, out: Path) -> 
     )
     snap = out / f"{stem}_snapshot.csv"
     if mesh.ndim == 1:
-        xs = np.linspace(mesh.x_a, mesh.x_b, 4 * npts, endpoint=False)
+        xs = np.linspace(mesh.lower[0], mesh.upper[0], 4 * npts, endpoint=False)
         vals = field.evaluate(xs)
         snap.write_text(
             "\n".join(["x,u"] + [f"{p:.8e},{v:.8e}" for p, v in zip(xs, vals)]) + "\n"
         )
         return [snap, mass_csv]
-    xs = np.linspace(mesh.x_a, mesh.x_b, npts, endpoint=False)
-    ys = np.linspace(mesh.y_a, mesh.y_b, npts, endpoint=False)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    X, Y = np.meshgrid(*(np.linspace(lo, hi, npts, endpoint=False)
+                         for lo, hi in zip(mesh.lower, mesh.upper)), indexing="ij")
     U = field.evaluate(X, Y)
     rows = ["x,y,u"]
     for i in range(npts):
@@ -465,19 +463,13 @@ def emit_qualitative(result: StudyResult, field: DGField, masses, out: Path) -> 
 
     for axis, value in cfg.cuts:
         cut = out / f"{stem}_cut_{axis}_{value:g}.csv"
-        ts = np.linspace(
-            mesh.y_a if axis == "x" else mesh.x_a,
-            mesh.y_b if axis == "x" else mesh.x_b,
-            4 * npts,
-            endpoint=False,
-        )
-        if axis == "x":
-            vals = field.evaluate(np.full_like(ts, value), ts)
-            header = "y,u"
-        else:
-            vals = field.evaluate(ts, np.full_like(ts, value))
-            header = "x,u"
-        cut.write_text("\n".join([header] + [f"{p:.8e},{v:.8e}" for p, v in zip(ts, vals)]) + "\n")
+        along = 1 if axis == "x" else 0     # a cut at x = value runs along y
+        ts = np.linspace(mesh.lower[along], mesh.upper[along], 4 * npts, endpoint=False)
+        pts = [np.full_like(ts, value), np.full_like(ts, value)]
+        pts[along] = ts
+        vals = field.evaluate(*pts)
+        lines = [f"{'xy'[along]},u"] + [f"{p:.8e},{v:.8e}" for p, v in zip(ts, vals)]
+        cut.write_text("\n".join(lines) + "\n")
         files.append(cut)
 
     plot = out / f"{stem}.gp"

@@ -14,6 +14,7 @@ matrix is diagonal and is stored as a per-mode diagonal only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -26,15 +27,18 @@ SUPPORTED_DEGREES = (0, 1, 2)
 # 1D modal exponents and reference mass diagonal for {1, xi, xi^2 - 1/12}.
 _MASS_1D = np.array([1.0, 1.0 / 12.0, 1.0 / 180.0])
 
-# Modes in canonical order, as tuples of per-axis 1D mode indices.
-_MODES_1D = ((0,), (1,), (2,))
-_MODES_2D = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-
 
 def basis_dim(k: int, ndim: int) -> int:
     """Dimension of the local polynomial space P^k."""
     _check_degree(k)
-    return k + 1 if ndim == 1 else (k + 1) * (k + 2) // 2
+    return math.comb(k + ndim, ndim)
+
+
+@lru_cache(maxsize=None)
+def _modes(k: int, ndim: int) -> tuple:
+    exponents = itertools.product(range(k + 1), repeat=ndim)
+    return tuple(sorted((m for m in exponents if sum(m) <= k),
+                        key=lambda m: (sum(m), [-p for p in m])))
 
 
 def _check_degree(k: int) -> None:
@@ -61,7 +65,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
     @staticmethod
     def gauss(n: int, ndim: int) -> "QuadratureRule":
@@ -70,7 +73,7 @@ class QuadratureRule:
         x, w = gauss_rule(n)
         grid = np.meshgrid(*([np.arange(n)] * ndim), indexing="ij")
         idx = np.stack([g.ravel() for g in grid], axis=-1)
-        return QuadratureRule(nodes=x[idx], weights=np.prod(w[idx], axis=-1), order=2 * n - 1)
+        return QuadratureRule(nodes=x[idx], weights=np.prod(w[idx], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -91,154 +94,95 @@ class Basis:
 
     @property
     def modes(self) -> tuple:
-        """Per-axis 1D mode indices of every basis function: 1-tuples in 1D."""
-        return (_MODES_1D if self.ndim == 1 else _MODES_2D)[: self.dim]
+        """Per-axis 1D mode indices of every basis function, by total degree
+        and then by falling first index: 1-tuples in 1D."""
+        return _modes(self.k, self.ndim)
 
     def mass_diag(self) -> np.ndarray:
         """Diagonal of the reference mass matrix (unit cell measure)."""
         return np.array([np.prod(_MASS_1D[list(m)]) for m in self.modes])
 
-    def eval(self, xi: np.ndarray, eta: np.ndarray | None = None) -> np.ndarray:
-        """Basis values at local coordinates; result shape (..., dim)."""
-        xi = np.asarray(xi, dtype=float)
-        if self.ndim == 1:
-            out = np.empty(xi.shape + (self.dim,))
-            out[..., 0] = 1.0
-            if self.dim > 1:
-                out[..., 1] = xi
-            if self.dim > 2:
-                out[..., 2] = xi * xi - 1.0 / 12.0
-            return out
-        eta = np.asarray(eta, dtype=float)
-        shape = np.broadcast_shapes(xi.shape, eta.shape)
-        out = np.empty(shape + (self.dim,))
-        out[..., 0] = 1.0
-        if self.dim > 1:
-            out[..., 1] = xi
-            out[..., 2] = eta
-        if self.dim > 3:
-            out[..., 3] = xi * xi - 1.0 / 12.0
-            out[..., 4] = xi * eta
-            out[..., 5] = eta * eta - 1.0 / 12.0
+    def eval(self, *xi: np.ndarray) -> np.ndarray:
+        """Basis values at local coordinates, one array per axis; result
+        shape (..., dim), C-contiguous."""
+        xi = [np.asarray(t, dtype=float) for t in xi]
+        # each axis's 1D factors {1, t, t^2 - 1/12}; products skip the constant
+        factors = [(None, t, t * t - 1.0 / 12.0 if self.k == 2 else None) for t in xi]
+        out = np.empty(np.broadcast(*xi).shape + (self.dim,))
+        for m, mode in enumerate(self.modes):
+            out[..., m] = math.prod(f[p] for f, p in zip(factors, mode) if p)
         return out
 
 
 @dataclass(frozen=True)
-class Mesh1D:
-    """Uniform partition of [x_a, x_b] into n cells."""
+class Mesh:
+    """Uniform periodic partition of the box [lower, upper] into ``shape``
+    cells in 1 or 2 dimensions; cells are numbered with the first axis
+    running fastest, c = ix + nx * iy."""
 
-    x_a: float
-    x_b: float
-    n: int
-    ndim = 1
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("mesh needs at least 2 cells")
-        if not self.x_b > self.x_a:
-            raise ValueError("x_b must exceed x_a")
-
-    @property
-    def dx(self) -> float:
-        return (self.x_b - self.x_a) / self.n
-
-    @property
-    def length(self) -> float:
-        return self.x_b - self.x_a
-
-    @property
-    def ncells(self) -> int:
-        return self.n
-
-    @property
-    def lower(self) -> tuple[float]:
-        return (self.x_a,)
-
-    @property
-    def widths(self) -> tuple[float]:
-        return (self.dx,)
-
-    @property
-    def shape(self) -> tuple[int]:
-        return (self.n,)
-
-    def nodes(self) -> np.ndarray:
-        return self.x_a + self.dx * np.arange(self.n + 1)
-
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        return self.x_a + np.mod(x - self.x_a, self.length)
-
-    def locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Containing cell index and local coordinate of (wrapped) points."""
-        r = (self.wrap(np.asarray(x, dtype=float)) - self.x_a) / self.dx
-        j = np.clip(np.floor(r).astype(int), 0, self.n - 1)
-        xi = r - j - 0.5
-        return j, xi
-
-
-@dataclass(frozen=True)
-class Mesh2D:
-    """Uniform rectangular partition; cells indexed c = ix + nx * iy."""
-
-    x_a: float
-    x_b: float
-    y_a: float
-    y_b: float
-    nx: int
-    ny: int
-    ndim = 2
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+    shape: tuple[int, ...]
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
+        # tuples, so the mesh hashes: _projection caches by mesh
+        for name in ("lower", "upper", "shape"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not len(self.lower) == len(self.upper) == len(self.shape):
+            raise ValueError("lower, upper and shape need one entry per axis")
+        if self.ndim not in (1, 2):
+            raise ValueError("mesh must have 1 or 2 axes")
+        if min(self.shape) < 2:
             raise ValueError("mesh needs at least 2 cells per direction")
-        if not (self.x_b > self.x_a and self.y_b > self.y_a):
+        if not all(hi > lo for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("upper bounds must exceed lower bounds")
 
     @property
-    def dx(self) -> float:
-        return (self.x_b - self.x_a) / self.nx
-
-    @property
-    def dy(self) -> float:
-        return (self.y_b - self.y_a) / self.ny
+    def ndim(self) -> int:
+        return len(self.shape)
 
     @property
     def ncells(self) -> int:
-        return self.nx * self.ny
+        return math.prod(self.shape)
 
     @property
-    def lengths(self) -> tuple[float, float]:
-        return (self.x_b - self.x_a, self.y_b - self.y_a)
+    def widths(self) -> tuple[float, ...]:
+        return tuple((hi - lo) / n for lo, hi, n in zip(self.lower, self.upper, self.shape))
 
-    @property
-    def lower(self) -> tuple[float, float]:
-        return (self.x_a, self.y_a)
+    dx = property(lambda self: self.widths[0])
+    dy = property(lambda self: self.widths[1])
+    n = nx = property(lambda self: self.shape[0])
+    ny = property(lambda self: self.shape[1])
 
-    @property
-    def widths(self) -> tuple[float, float]:
-        return (self.dx, self.dy)
+    def cell_index(self, *index: np.ndarray) -> np.ndarray:
+        """Cell number of per-axis cell indices, wrapped periodically."""
+        c, stride = 0, 1
+        for i, n in zip(index, self.shape):
+            c = c + stride * np.mod(i, n)
+            stride *= n
+        return c
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nx, self.ny)
-
-    def cell_index(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-        return np.mod(ix, self.nx) + self.nx * np.mod(iy, self.ny)
-
-    def wrap(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lx, ly = self.lengths
-        return self.x_a + np.mod(x - self.x_a, lx), self.y_a + np.mod(y - self.y_a, ly)
-
-    def locate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        xw, yw = self.wrap(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        rx = (xw - self.x_a) / self.dx
-        ry = (yw - self.y_a) / self.dy
-        ix = np.clip(np.floor(rx).astype(int), 0, self.nx - 1)
-        iy = np.clip(np.floor(ry).astype(int), 0, self.ny - 1)
-        return ix + self.nx * iy, rx - ix - 0.5, ry - iy - 0.5
+    def locate(self, *x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Containing cell and per-axis local coordinates of points, one
+        coordinate array per axis, after the periodic wrap."""
+        c, stride, local = 0, 1, []
+        for xa, lo, hi, h, n in zip(x, self.lower, self.upper, self.widths, self.shape):
+            r = (lo + np.mod(np.asarray(xa, dtype=float) - lo, hi - lo) - lo) / h
+            i = np.clip(np.floor(r).astype(int), 0, n - 1)
+            c = c + stride * i
+            stride *= n
+            local.append(r - i - 0.5)
+        return c, *local
 
 
-Mesh = Mesh1D | Mesh2D
+def Mesh1D(x_a: float, x_b: float, n: int) -> Mesh:
+    """Uniform partition of [x_a, x_b] into n cells."""
+    return Mesh((x_a,), (x_b,), (n,))
+
+
+def Mesh2D(x_a: float, x_b: float, y_a: float, y_b: float, nx: int, ny: int) -> Mesh:
+    """Uniform partition of [x_a, x_b] x [y_a, y_b] into nx x ny cells."""
+    return Mesh((x_a, y_a), (x_b, y_b), (nx, ny))
 
 
 @dataclass
@@ -288,8 +232,8 @@ class DGField:
     __rmul__ = __mul__
 
     def evaluate(self, *x) -> np.ndarray:
-        """Point values of the cell-local polynomials at coordinate arrays
-        (x) or (x, y), periodic wrap applied."""
+        """Point values of the cell-local polynomials at one coordinate array
+        per axis, periodic wrap applied."""
         c, *local = self.mesh.locate(*x)
         return np.einsum("...d,...d->...", self.coeffs[c], self.basis.eval(*local))
 

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .core import _MASS_1D, Basis, Mesh1D, Mesh2D, mass_vector
+from .core import _MASS_1D, Basis, Mesh, mass_vector
 
 FLUX_CHOICES = ("uminus_qplus", "uplus_qminus")
 
@@ -78,7 +78,7 @@ class LDGOperator:
     on first access from the composed blocks, applies D in one product for the
     Krylov solve.  ``symbol`` is D in Fourier space."""
 
-    mesh: Mesh1D | Mesh2D
+    mesh: Mesh
     k: int
     flux: FluxChoice
     sweeps: tuple[tuple[Sweep, Sweep], ...]
@@ -178,12 +178,12 @@ def _assemble(mesh, k: int, flux: FluxChoice | None) -> LDGOperator:
         for axis, orientation in zip(range(mesh.ndim), (flux.x, flux.y))))
 
 
-def assemble_ldg_1d(mesh: Mesh1D, k: int, flux: FluxChoice | None = None) -> LDGOperator:
+def assemble_ldg_1d(mesh: Mesh, k: int, flux: FluxChoice | None = None) -> LDGOperator:
     """Compose the two one-sided sweeps into the 1D second-derivative operator."""
     return _assemble(mesh, k, flux)
 
 
-def assemble_ldg_2d(mesh: Mesh2D, k: int, flux: FluxChoice | None = None) -> LDGOperator:
+def assemble_ldg_2d(mesh: Mesh, k: int, flux: FluxChoice | None = None) -> LDGOperator:
     """Dimension-by-dimension sweeps: gradients in x and y, then the divergence."""
     return _assemble(mesh, k, flux)
 

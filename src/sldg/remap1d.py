@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .characteristics import GL_POINTS, VelocityField, cell_lattice, snap_index, substeps_for, trace_back
-from .core import Basis, Mesh1D
+from .core import Basis, Mesh
 
 
 class GeometryError(RuntimeError):
@@ -172,7 +172,7 @@ def remap_matrix(mesh, k: int, o: np.ndarray, c: np.ndarray, W: np.ndarray, cent
     return sp.bsr_matrix((blocks, cells, indptr), shape=(n, n))
 
 
-def traced_interval_points(mesh: Mesh1D, k: int, t_end: float, t_start: float,
+def traced_interval_points(mesh: Mesh, k: int, t_end: float, t_start: float,
                            v: VelocityField, substeps: int | None = None) -> np.ndarray:
     """Snapped index coordinates of every cell's traced ends (and midpoint).
 
@@ -184,7 +184,7 @@ def traced_interval_points(mesh: Mesh1D, k: int, t_end: float, t_start: float,
         substeps = substeps_for(mesh, v, t_end, t_start)
     points, index = cell_lattice(mesh, (-0.5, 0.5) if k == 1 else (-0.5, 0.0, 0.5))
     feet = trace_back(points[0], t_end, t_start, v, substeps)
-    r = snap_index((feet[index] - mesh.x_a) / mesh.dx)
+    r = snap_index((feet[index] - mesh.lower[0]) / mesh.dx)
     folded = np.flatnonzero(np.any(np.diff(r, axis=1) <= 0, axis=1))
     if folded.size:
         raise GeometryError(f"non-monotone feet in cell {folded[0]}; reduce the time step")
@@ -193,7 +193,7 @@ def traced_interval_points(mesh: Mesh1D, k: int, t_end: float, t_start: float,
     return r
 
 
-def assemble_remap_1d(mesh: Mesh1D, k: int, t_end: float, t_start: float,
+def assemble_remap_1d(mesh: Mesh, k: int, t_end: float, t_start: float,
                       v: VelocityField) -> sp.bsr_matrix:
     """Block-sparse remap operator over global coefficients: load = R @ u.
 

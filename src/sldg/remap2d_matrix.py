@@ -51,7 +51,7 @@ import scipy.sparse as sp
 
 from .characteristics import (CELL_POINTS_4, CELL_POINTS_9, SNAP_TOL, VelocityField, cell_lattice,
                               snap_index, substeps_for, trace_back)
-from .core import Mesh2D, gauss_rule
+from .core import Mesh, gauss_rule
 from .remap1d import (GeometryError, block_moments, fit_tests, powers, remap_matrix, runs,
                       sum_moments)
 
@@ -159,7 +159,7 @@ def tracked_points(mode: str, k: int) -> tuple:
     return CELL_POINTS_9 if (k == 2 or mode == "qc") else CELL_POINTS_4
 
 
-def traced_cell_points(mesh: Mesh2D, t_end: float, t_start: float, v: VelocityField,
+def traced_cell_points(mesh: Mesh, t_end: float, t_start: float, v: VelocityField,
                        ref: tuple, substeps: int | None = None) -> np.ndarray:
     """Snapped index coordinates of every cell's traced points ``ref``, (ncells, npts, 2).
 
@@ -236,7 +236,7 @@ def curved_areas(edges: np.ndarray) -> np.ndarray:
     return np.einsum("q,ceq,ceq->c", weights, x, dy)
 
 
-def unique_edges(mesh: Mesh2D, feet: np.ndarray):
+def unique_edges(mesh: Mesh, feet: np.ndarray):
     """Every upstream cell edge once, with the cells it bounds.
 
     Returns (first, side, twin, off): edge e is side ``side[e]`` (0 bottom,
@@ -262,7 +262,7 @@ def unique_edges(mesh: Mesh2D, feet: np.ndarray):
     return first, side, twin, off
 
 
-def _piece_moments(mesh: Mesh2D, k: int, mode: str, seg: np.ndarray, s0: np.ndarray,
+def _piece_moments(mesh: Mesh, k: int, mode: str, seg: np.ndarray, s0: np.ndarray,
                    s1: np.ndarray, cell: np.ndarray) -> np.ndarray:
     """Rows [F | E] of the pieces ``seg[p]`` over [s0, s1], F in column ``cell[p]``.
 
@@ -328,7 +328,7 @@ def _full_columns(k: int, o: np.ndarray, c: np.ndarray, W: np.ndarray):
     return o[first][block], np.stack([left[block] + col, c[first, 0][block]], axis=1), sums
 
 
-def assemble_remap_2d(mesh: Mesh2D, k: int, t_end: float, t_start: float,
+def assemble_remap_2d(mesh: Mesh, k: int, t_end: float, t_start: float,
                       v: VelocityField, mode: str = "quad") -> sp.bsr_matrix:
     """Block-sparse 2D remap operator over global coefficients: load = R @ u.
 

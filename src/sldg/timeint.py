@@ -362,13 +362,13 @@ class Stepper:
         if self.solver.method == "direct":
             x = self._fourier_solve(gamma, b)
         else:
-            x, its = self._gmres(gamma, b)
+            x, its = self._minres(gamma, b)
         dx = self.ldg.apply_flat(x)
         resid = np.linalg.norm(self.mass * (x - gamma * dx) - rhs)
         bound = self.solver.tol * max(1.0, np.linalg.norm(rhs))
         if resid > bound:
             if self.solver.method == "gmres":
-                x, more = self._gmres(gamma, b, tighten=100.0, x0=x)
+                x, more = self._minres(gamma, b, tighten=100.0, x0=x)
                 its += more
                 dx = self.ldg.apply_flat(x)
                 resid = np.linalg.norm(self.mass * (x - gamma * dx) - rhs)
@@ -407,9 +407,11 @@ class Stepper:
             self._system_cache[key] = inv
         return inv
 
-    def _gmres(self, gamma: float, b: np.ndarray, tighten: float = 1.0,
-               x0=None) -> tuple[np.ndarray, int]:
-        """MINRES solution of (I - gamma D) x = b and its iteration count."""
+    def _minres(self, gamma: float, b: np.ndarray, tighten: float = 1.0,
+                x0=None) -> tuple[np.ndarray, int]:
+        """Solve (I - gamma D) x = b by ``minres`` in the mass inner product,
+        from x0 to the relative tolerance ``solver.tol / tighten``; returns x
+        and the iteration count."""
         x, its, converged = minres(partial(self._apply_system, gamma), self.mass, b, x0,
                                    self.solver.tol / tighten, MINRES_MAXITER)
         if not converged:

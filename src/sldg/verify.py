@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .characteristics import SNAP_TOL, constant_1d, constant_2d, sine_1d, swirling, trace_back
-from .core import Basis, Mesh1D, Mesh2D, QuadratureRule, gauss_rule, mass_vector, project
+from .core import Basis, Mesh, Mesh1D, Mesh2D, QuadratureRule, gauss_rule, mass_vector, project
 from .ldg import FluxChoice, assemble_ldg_1d, assemble_ldg_2d, dissipativity_check
 from .remap1d import assemble_remap_1d, fit_tests, traced_interval_points
 from .remap2d_matrix import assemble_remap_2d, cell_edges, traced_cell_points, tracked_points
@@ -113,7 +113,7 @@ def green_integral(segs: np.ndarray, f, x0: float, n: int) -> np.ndarray:
     return np.einsum("g,sg,sg...->...", weights, (x - x0) * dy, q)
 
 
-def clipped_rows(mesh: Mesh2D, k: int, t_end: float, t_start: float, v, mode: str,
+def clipped_rows(mesh: Mesh, k: int, t_end: float, t_start: float, v, mode: str,
                  cells) -> np.ndarray:
     """Rows of the 2D remap operator for ``cells``, shape (len(cells), d, ncells * d).
 
@@ -223,7 +223,7 @@ def _project_translate_1d(u, shift: float) -> np.ndarray:
     off = np.mod(shift / mesh.dx, 1.0)
     coeffs = np.zeros((mesh.n, k + 1))
     for j in range(mesh.n):
-        a = mesh.x_a + j * mesh.dx
+        a = mesh.lower[0] + j * mesh.dx
         pieces = [(a, a + off * mesh.dx), (a + off * mesh.dx, a + mesh.dx)]
         for lo, hi in pieces:
             if hi - lo <= 0:

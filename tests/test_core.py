@@ -6,6 +6,7 @@ import pytest
 from sldg.core import (
     Basis,
     DGField,
+    Mesh,
     Mesh1D,
     Mesh2D,
     QuadratureRule,
@@ -21,7 +22,8 @@ from sldg.core import (
 def test_mesh_invariants():
     m = Mesh1D(0.0, 2.0, 4)
     assert m.dx == pytest.approx(0.5)
-    assert np.allclose(m.nodes(), [0.0, 0.5, 1.0, 1.5, 2.0])
+    assert (m.lower, m.upper, m.shape) == ((0.0,), (2.0,), (4,))
+    assert np.allclose(m.lower[0] + m.dx * np.arange(m.n + 1), [0.0, 0.5, 1.0, 1.5, 2.0])
     with pytest.raises(ValueError):
         Mesh1D(0.0, 1.0, 1)
     with pytest.raises(ValueError):
@@ -38,6 +40,60 @@ def test_mesh2d_indexing():
     assert m.cell_index(np.array(-1), np.array(5)) == 3
 
 
+@pytest.mark.parametrize("lower, upper, shape, message", [
+    ((0.0,), (1.0, 1.0), (4,), "one entry per axis"),
+    ((0.0, 0.0), (1.0, 1.0), (4,), "one entry per axis"),
+    ((), (), (), "1 or 2 axes"),
+    ((0.0,) * 3, (1.0,) * 3, (4,) * 3, "1 or 2 axes"),
+    ((0.0,), (1.0,), (1,), "at least 2 cells per direction"),
+    ((0.0, 0.0), (1.0, 1.0), (4, 1), "at least 2 cells per direction"),
+    ((1.0,), (0.0,), (4,), "upper bounds must exceed lower bounds"),
+    ((0.0, 1.0), (1.0, 1.0), (4, 4), "upper bounds must exceed lower bounds"),
+])
+def test_mesh_rejects_malformed_shapes(lower, upper, shape, message):
+    with pytest.raises(ValueError, match=message):
+        Mesh(lower, upper, shape)
+
+
+def test_mesh_stores_tuples_and_hashes():
+    m = Mesh([-1.0, 0.5], np.array([2.5, 2.0]), [7, 5])
+    assert (m.lower, m.upper, m.shape) == ((-1.0, 0.5), (2.5, 2.0), (7, 5))
+    twin = Mesh2D(-1.0, 2.5, 0.5, 2.0, 7, 5)
+    assert m == twin and hash(m) == hash(twin)
+    assert (m.ndim, m.ncells, m.widths) == (2, 35, (3.5 / 7, 1.5 / 5))
+    assert (m.dx, m.dy, m.nx, m.ny) == (3.5 / 7, 1.5 / 5, 7, 5)
+
+
+def _former_locate(x_a, x_b, n, x):
+    """One axis of the former Mesh1D/Mesh2D.locate: wrap, then floor."""
+    dx = (x_b - x_a) / n
+    r = (x_a + np.mod(np.asarray(x, dtype=float) - x_a, x_b - x_a) - x_a) / dx
+    i = np.clip(np.floor(r).astype(int), 0, n - 1)
+    return i, r - i - 0.5
+
+
+def test_locate_and_cell_index_match_former_formulas_1d():
+    m = Mesh1D(-1.0, 2.5, 13)
+    x = np.random.default_rng(3).uniform(-20.0, 20.0, 500)
+    j, xi = _former_locate(-1.0, 2.5, 13, x)
+    c, local = m.locate(x)
+    assert np.array_equal(c, j) and local.tobytes() == xi.tobytes()
+    idx = np.arange(-40, 40)
+    assert np.array_equal(m.cell_index(idx), np.mod(idx, 13))
+
+
+def test_locate_and_cell_index_match_former_formulas_2d():
+    m = Mesh2D(-1.0, 2.5, 0.5, 2.0, 7, 5)
+    x, y = np.random.default_rng(4).uniform(-20.0, 20.0, (2, 500))
+    ix, xi = _former_locate(-1.0, 2.5, 7, x)
+    iy, eta = _former_locate(0.5, 2.0, 5, y)
+    c, lx, ly = m.locate(x, y)
+    assert np.array_equal(c, ix + 7 * iy)
+    assert lx.tobytes() == xi.tobytes() and ly.tobytes() == eta.tobytes()
+    jx, jy = np.meshgrid(np.arange(-15, 15), np.arange(-12, 12), indexing="ij")
+    assert np.array_equal(m.cell_index(jx, jy), np.mod(jx, 7) + 7 * np.mod(jy, 5))
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_basis_orthogonality(k, ndim):
@@ -48,6 +104,22 @@ def test_basis_orthogonality(k, ndim):
     off = np.abs(gram - np.diag(np.diag(gram)))
     assert np.max(off) < 1e-14 * np.min(np.diag(gram)) + 1e-16
     assert np.allclose(np.diag(gram), basis.mass_diag(), rtol=1e-14)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_basis_eval_matches_explicit_formulas(k, ndim):
+    # strided inputs, as Basis.eval(*nodes.T) receives them, broadcast against each other
+    pts = np.random.default_rng(k).uniform(-0.5, 0.5, (2, 6, 4))
+    xi, eta = pts[0, :, :1], pts[1, :1, :]
+    X, Y = np.broadcast_arrays(xi, eta)
+    explicit = {1: [np.ones_like(xi), xi, xi * xi - 1.0 / 12.0],
+                2: [np.ones_like(X), X, Y, X * X - 1.0 / 12.0, X * Y, Y * Y - 1.0 / 12.0]}[ndim]
+    basis = Basis(k, ndim)
+    got = basis.eval(*(xi, eta)[:ndim])
+    want = np.stack(explicit[: basis.dim], axis=-1)
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 9))

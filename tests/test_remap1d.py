@@ -22,7 +22,7 @@ def project_translate_exact(u, shift):
     off = np.mod(shift / mesh.dx, 1.0)
     coeffs = np.zeros((mesh.n, k + 1))
     for j in range(mesh.n):
-        a = mesh.x_a + j * mesh.dx
+        a = mesh.lower[0] + j * mesh.dx
         for lo, hi in ((a, a + off * mesh.dx), (a + off * mesh.dx, a + mesh.dx)):
             if hi - lo <= 0:
                 continue
@@ -102,7 +102,7 @@ def test_monomials_match_per_axis_gather(ndim, k):
 def test_zero_velocity_single_subinterval():
     mesh = Mesh1D(0.0, 1.0, 5)
     rc = traced_interval_points(mesh, 2, 1.0, 0.0, zero_field(1))
-    assert mesh.x_a + mesh.dx * rc[2, [0, -1]] == pytest.approx((0.4, 0.6))
+    assert mesh.lower[0] + mesh.dx * rc[2, [0, -1]] == pytest.approx((0.4, 0.6))
     lengths = mode0(assemble_remap_1d(mesh, 2, 1.0, 0.0, zero_field(1)), 2)[2]
     assert np.flatnonzero(lengths).tolist() == [2]
     assert lengths[2] == pytest.approx(0.2)

@@ -273,8 +273,8 @@ def test_translation_exactness_fractional(k):
     for iy in range(6):
         for ix in range(6):
             c = ix + 6 * iy
-            ax = mesh.x_a + ix * mesh.dx
-            ay = mesh.y_a + iy * mesh.dy
+            ax = mesh.lower[0] + ix * mesh.dx
+            ay = mesh.lower[1] + iy * mesh.dy
             for lx, hx in ((0.0, offx), (offx, 1.0)):
                 for ly, hy in ((0.0, offy), (offy, 1.0)):
                     if hx <= lx or hy <= ly:
