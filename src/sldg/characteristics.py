@@ -65,13 +65,11 @@ def sine_1d() -> VelocityField:
 
 
 def zero_field(ndim: int) -> VelocityField:
-    if ndim == 1:
-        return VelocityField(1, lambda x, t: np.zeros_like(np.asarray(x, float)), (0.0,), False, "zero")
-    return VelocityField(
-        2,
-        lambda x, y, t: (np.zeros_like(np.asarray(x, float)), np.zeros_like(np.asarray(y, float))),
-        (0.0, 0.0), False, "zero",
-    )
+    def fn(*xt):
+        a = tuple(np.zeros_like(np.asarray(x, float)) for x in xt[:-1])
+        return a if ndim > 1 else a[0]
+
+    return VelocityField(ndim, fn, (0.0,) * ndim, False, "zero")
 
 
 def constant_2d(ax: float = 1.0, ay: float = 1.0) -> VelocityField:

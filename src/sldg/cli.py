@@ -2,10 +2,12 @@
 
 Subcommands: ``spatial``, ``temporal``, ``qualitative`` run the registered
 benchmark problems and write CSV tables plus gnuplot scripts; ``verify``
-runs the numerical property suites.  Any flag may also be supplied through a
-plain key=value configuration file (one pair per line, ``#`` comments);
-explicit command-line flags win over the file.  The exit code is nonzero if
-any run fails to converge.
+runs the numerical property suites.  A ``--config`` file's ``key = value``
+lines (``#`` comments; ``_`` in a key reads as ``-``) become flags placed
+before the explicit ones, so one parse checks both and explicit flags win;
+an empty value leaves a flag unset.  Unset flags keep the defaults of
+``StudyConfig`` and ``LinearSolverConfig``.  The exit code is nonzero if any
+run fails to converge or an input is rejected.
 """
 
 from __future__ import annotations
@@ -13,27 +15,41 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (
-    PROBLEMS,
-    StudyConfig,
-    run_qualitative,
-    run_spatial_study,
-    run_temporal_study,
-)
+from .bench import PROBLEMS, StudyConfig, run_qualitative, run_spatial_study, run_temporal_study
 from .remap1d import GeometryError
 from .timeint import LinearSolverConfig, SolverError
 from . import verify as verify_mod
 
 _FLUX = {"uminus": "uminus_qplus", "uplus": "uplus_qminus"}
+_SOLVER = {"solver": "method", "gmres_tol": "tol"}    # flag -> LinearSolverConfig field
+_RUNS = {"spatial": run_spatial_study, "temporal": run_temporal_study,
+         "qualitative": run_qualitative}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value file supplying defaults for any flag")
-    p.add_argument("--problem", choices=PROBLEMS)
+def _tokens(text: str) -> list:
+    return [tok for tok in text.replace(" ", "").split(",") if tok]
+
+
+def int_list(text: str) -> tuple:
+    return tuple(int(tok) for tok in _tokens(text))
+
+
+def float_list(text: str) -> tuple:
+    return tuple(float(tok) for tok in _tokens(text))
+
+
+def cut_list(text: str) -> tuple:
+    return tuple((axis, float(value)) for axis, value in (tok.split(":") for tok in _tokens(text)))
+
+
+def _add_common(p: argparse.ArgumentParser, cfl) -> None:
+    p.add_argument("--config", help="key=value file of flags; explicit flags win")
+    p.add_argument("--problem", choices=PROBLEMS, default="ex31")
     p.add_argument("--k", type=int, choices=(0, 1, 2))
     p.add_argument("--tableau", choices=("be", "dirk2", "dirk3", "dirk4"))
-    p.add_argument("--cfl", help="CFL number, or comma list for temporal studies")
-    p.add_argument("--meshes", help="comma list of cells per direction")
+    p.add_argument("--cfl", type=cfl,
+                   help="comma list of CFL numbers" if cfl is float_list else "CFL number")
+    p.add_argument("--meshes", type=int_list, help="comma list of cells per direction")
     p.add_argument("--eps", type=float, help="diffusion coefficient")
     p.add_argument("--flux", choices=tuple(_FLUX), help="solution-trace side of the fluxes")
     p.add_argument("--mode", choices=("quad", "qc"), help="upstream edge representation")
@@ -48,12 +64,32 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory for CSV/plot files")
 
 
-def _parse_list(text: str, cast) -> tuple:
-    return tuple(cast(tok) for tok in text.replace(" ", "").split(",") if tok)
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sldg", description="semi-Lagrangian DG convection-diffusion benchmark driver",
+        exit_on_error=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def study(name: str, about: str, cfl) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=about, exit_on_error=False, allow_abbrev=False)
+        _add_common(p, cfl)
+        return p
+
+    study("spatial", "mesh-refinement convergence table", float).add_argument(
+        "--reference", type=int, help="reference mesh when no exact solution exists")
+    study("temporal", "error against CFL on a fixed mesh", float_list).add_argument(
+        "--cfl-ref", type=float, help="self-reference CFL when no exact solution exists")
+    qp = study("qualitative", "snapshot, 1D cuts and mass history", float)
+    qp.add_argument("--plot-points", type=int, help="sample points per direction")
+    qp.add_argument("--cuts", type=cut_list, help="comma list of cuts, e.g. x:-1.0,y:1.0")
+
+    sub.add_parser("verify", help="run the numerical property suites")
+    return parser
 
 
-def _load_config(path: str) -> dict:
-    values = {}
+def _config_flags(path: str) -> list:
+    """The lines of a key=value file as ``--key=value`` flags."""
+    flags = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -61,81 +97,33 @@ def _load_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line (expected key=value): {raw.rstrip()}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
+            key, val = (part.strip() for part in line.split("=", 1))
+            if val:
+                flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
-_DEFAULTS = {
-    "problem": "ex31",
-    "k": 2,
-    "tableau": "dirk4",
-    "cfl": "1.0",
-    "meshes": "10,20,40,80,160",
-    "eps": None,
-    "flux": "uminus",
-    "mode": "quad",
-    "gmres_tol": 1e-12,
-    "solver": "gmres",
-    "T": None,
-    "dt_dx": None,
-    "out": None,
-    "reference": None,
-    "cfl_ref": None,
-    "plot_points": 100,
-    "cuts": "",
-}
-
-_CASTS = {
-    "k": int,
-    "eps": float,
-    "gmres_tol": float,
-    "T": float,
-    "dt_dx": float,
-    "reference": int,
-    "cfl_ref": float,
-    "plot_points": int,
-}
-
-
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file and explicit flags (flags win)."""
-    merged = dict(_DEFAULTS)
+def _parse(argv: list) -> argparse.Namespace:
+    """Parse ``argv``, with a ``--config`` file's flags placed right after
+    the subcommand, so the explicit flags after them win."""
+    parser = _parser()
+    args, extra = parser.parse_known_args(argv)
     if getattr(args, "config", None):
-        for key, val in _load_config(args.config).items():
-            if key not in merged:
-                raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _CASTS.get(key, str)(val) if val != "" else None
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
+        at = argv.index(args.command) + 1
+        args, extra = parser.parse_known_args(argv[:at] + _config_flags(args.config) + argv[at:])
+    if extra:
+        raise ValueError(f"unrecognized arguments for {args.command}: {' '.join(extra)}")
+    return args
 
 
-def _study_config(opts: dict, cfl) -> StudyConfig:
-    cuts = ()
-    if opts["cuts"]:
-        parts = _parse_list(opts["cuts"], str)
-        cuts = tuple((p.split(":")[0], float(p.split(":")[1])) for p in parts)
-    return StudyConfig(
-        problem=opts["problem"],
-        k=int(opts["k"]),
-        tableau=opts["tableau"],
-        meshes=_parse_list(str(opts["meshes"]), int),
-        cfl=cfl,
-        eps=opts["eps"],
-        flux=_FLUX[opts["flux"]] if opts["flux"] in _FLUX else opts["flux"],
-        mode=opts["mode"],
-        solver=LinearSolverConfig(opts["solver"], float(opts["gmres_tol"])),
-        T=opts["T"],
-        reference=opts["reference"],
-        cfl_ref=opts["cfl_ref"],
-        dt_dx=opts["dt_dx"],
-        out=opts["out"],
-        plot_points=int(opts["plot_points"]),
-        cuts=cuts,
-    )
+def _study_config(args: argparse.Namespace) -> StudyConfig:
+    """The given flags as a ``StudyConfig``; unset ones keep its defaults."""
+    given = {key: val for key, val in vars(args).items()
+             if val is not None and key not in ("command", "config")}
+    solver = {_SOLVER[key]: given.pop(key) for key in _SOLVER if key in given}
+    if "flux" in given:
+        given["flux"] = _FLUX[given["flux"]]
+    return StudyConfig(solver=LinearSolverConfig(**solver), **given)
 
 
 def _print_rows(result) -> None:
@@ -155,46 +143,15 @@ def _print_rows(result) -> None:
 
 
 def main(argv: list | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="sldg",
-        description="semi-Lagrangian DG convection-diffusion benchmark driver",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spatial", help="mesh-refinement convergence table")
-    _add_common(sp)
-    sp.add_argument("--reference", type=int, help="reference mesh when no exact solution exists")
-
-    tp = sub.add_parser("temporal", help="error against CFL on a fixed mesh")
-    _add_common(tp)
-    tp.add_argument("--cfl-ref", type=float, help="self-reference CFL when no exact solution exists")
-
-    qp = sub.add_parser("qualitative", help="snapshot, 1D cuts and mass history")
-    _add_common(qp)
-    qp.add_argument("--plot-points", type=int, help="sample points per direction")
-    qp.add_argument("--cuts", help="comma list of cuts, e.g. x:-1.0,y:1.0")
-
-    sub.add_parser("verify", help="run the numerical property suites")
-
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return 0 if verify_mod.run_all() else 1
-
     try:
-        opts = _resolve(args)
-        if args.command == "spatial":
-            result = run_spatial_study(_study_config(opts, float(opts["cfl"])))
-        elif args.command == "temporal":
-            cfls = _parse_list(str(opts["cfl"]), float)
-            result = run_temporal_study(_study_config(opts, cfls))
-        else:
-            result = run_qualitative(_study_config(opts, float(opts["cfl"])))
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if args.command == "verify":
+            return 0 if verify_mod.run_all() else 1
+        result = _RUNS[args.command](_study_config(args))
+        if args.command == "qualitative":
             print(f"final time reached; max mass defect {result.rows[0].mass_defect:.3e}")
         _print_rows(result)
-    except (SolverError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (argparse.ArgumentError, SolverError, GeometryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -261,16 +261,55 @@ def test_cli_verify_and_spatial(tmp_path, capsys):
     assert (tmp_path / "spatial_ex31_k1_dirk2_quad.csv").exists()
 
 
+def _csv_without_seconds(path):
+    return [",".join(line.split(",")[:-1]) for line in path.read_text().splitlines()]
+
+
 def test_cli_config_file(tmp_path, capsys):
     from sldg.cli import main
 
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("problem = ex31\nk = 1\nmeshes = 10,20\ntableau = dirk2\nsolver = direct\n")
-    code = main(["spatial", "--config", str(cfgfile), "--k", "0"])
-    assert code == 0
-    out = capsys.readouterr().out
-    # CLI flag overrides the file: k=0 gives first-order errors
-    assert "mesh" in out
+    cfgfile.write_text("problem = ex31\nk = 1\nmeshes = 10,20\ntableau = dirk2\nsolver = direct\n"
+                       f"out = {tmp_path / 'file'}\n")
+    # the explicit flag beats the file's k = 1
+    assert main(["spatial", "--config", str(cfgfile), "--k", "0"]) == 0
+    assert main(["spatial", "--problem", "ex31", "--k", "0", "--meshes", "10,20",
+                 "--tableau", "dirk2", "--solver", "direct", "--out", str(tmp_path / "flags")]) == 0
+    name = "spatial_ex31_k0_dirk2_quad.csv"
+    assert _csv_without_seconds(tmp_path / "file" / name) == \
+        _csv_without_seconds(tmp_path / "flags" / name)
+
+
+def test_cli_config_empty_value_leaves_flag_unset(tmp_path, capsys):
+    from sldg.cli import main
+
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"k =\nmeshes = 10,20\nsolver = direct\nout = {tmp_path}\n")
+    assert main(["spatial", "--config", str(cfgfile)]) == 0
+    assert (tmp_path / "spatial_ex31_k2_dirk4_quad.csv").exists()   # StudyConfig's k
+
+
+@pytest.mark.parametrize("line", [
+    "k = 5",                    # outside --k's choices
+    "flux = uminus_qplus",      # --flux takes the short names only
+    "cuts = x:1.0",             # a qualitative flag
+    "mesh = 10",                # keys are whole flag names, never abbreviations
+    "meshes = 10,x",            # not an integer list
+])
+def test_cli_config_values_checked_like_flags(tmp_path, capsys, line):
+    from sldg.cli import main
+
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"solver = direct\n{line}\n")
+    assert main(["spatial", "--config", str(cfgfile), "--meshes", "10"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_spatial_takes_one_cfl(capsys):
+    from sldg.cli import main
+
+    assert main(["spatial", "--meshes", "10", "--solver", "direct", "--cfl", "1,2"]) == 2
+    assert "--cfl" in capsys.readouterr().err
 
 
 def test_cli_bad_config_rejected(tmp_path, capsys):

@@ -11,27 +11,7 @@ from sldg.core import Basis, DGField, Mesh1D, gauss_rule, mass_vector, project, 
 from sldg.remap1d import (GeometryError, _monomials, assemble_remap_1d, fit_tests,
                           traced_interval_points)
 from sldg.timeint import LinearSolverConfig, Stepper
-
-
-def project_translate_exact(u, shift):
-    """Independent oracle: L2 projection of the periodic translate, split at
-    the translated mesh's breakpoints so all quadrature is exact."""
-    mesh, k = u.mesh, u.k
-    basis = Basis(k, 1)
-    nodes, weights = gauss_rule(k + 2)
-    off = np.mod(shift / mesh.dx, 1.0)
-    coeffs = np.zeros((mesh.n, k + 1))
-    for j in range(mesh.n):
-        a = mesh.lower[0] + j * mesh.dx
-        for lo, hi in ((a, a + off * mesh.dx), (a + off * mesh.dx, a + mesh.dx)):
-            if hi - lo <= 0:
-                continue
-            x = 0.5 * (lo + hi) + (hi - lo) * nodes
-            xi = (x - a) / mesh.dx - 0.5
-            coeffs[j] += (hi - lo) * np.einsum(
-                "q,q,qd->d", weights, u.evaluate(x - shift), basis.eval(xi)
-            )
-    return coeffs / (basis.mass_diag()[None, :] * mesh.dx)
+from sldg.verify import _project_translate_1d
 
 
 def random_field(mesh, k, seed=0, base=np.sin):
@@ -174,7 +154,7 @@ def test_translation_exactness(k):
     for shift in (0.37, 2.5 * mesh.dx, 4 * mesh.dx):
         R = assemble_remap_1d(mesh, k, shift, 0.0, constant_1d(1.0))
         got = ((R @ u.coeffs.ravel()) / mass_vector(mesh, k)).reshape(u.coeffs.shape)
-        ref = project_translate_exact(u, shift)
+        ref = _project_translate_1d(u, shift)
         assert np.max(np.abs(got - ref)) < 1e-11
 
     # a whole-cell shift puts every foot, the midpoint's too, on the lattice
