@@ -197,6 +197,9 @@ class StudyConfig:
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.meshes, self.meshes[1:])):
             raise ValueError("mesh list must be strictly increasing")
+        bad = [cut for cut in self.cuts if cut[0] not in ("x", "y")]
+        if bad:
+            raise ValueError(f"cut axis must be 'x' or 'y', got {bad[0][0]!r}")
 
 
 @dataclass
@@ -317,8 +320,8 @@ def run_spatial_study(cfg: StudyConfig) -> StudyResult:
 def run_temporal_study(cfg: StudyConfig) -> StudyResult:
     """Errors against the CFL number on one mesh, with fitted slopes."""
     problem = make_problem(cfg.problem, cfg.eps, cfg.T)
-    if not isinstance(cfg.cfl, tuple):
-        raise ValueError("temporal study needs a tuple of CFL values")
+    if not isinstance(cfg.cfl, tuple) or len(set(cfg.cfl)) < 2:
+        raise ValueError("temporal study needs a tuple of at least two distinct CFL values")
     n = cfg.meshes[-1]
     if problem.exact is not None:
         exact = problem.exact

@@ -39,7 +39,10 @@ def float_list(text: str) -> tuple:
 
 
 def cut_list(text: str) -> tuple:
-    return tuple((axis, float(value)) for axis, value in (tok.split(":") for tok in _tokens(text)))
+    cuts = tuple((axis, float(value)) for axis, value in (tok.split(":") for tok in _tokens(text)))
+    if any(axis not in ("x", "y") for axis, _ in cuts):
+        raise ValueError("cut axis must be 'x' or 'y'")
+    return cuts
 
 
 def _add_common(p: argparse.ArgumentParser, cfl) -> None:

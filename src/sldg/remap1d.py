@@ -141,6 +141,28 @@ def sum_moments(mesh, owner: np.ndarray, col: np.ndarray, row: np.ndarray, weigh
     return o, np.stack(c, axis=1) + low, W
 
 
+@lru_cache(maxsize=None)
+def _hankel_table(k: int, ndim: int) -> np.ndarray:
+    """G[m, alpha d + j]: the coefficient of block moment m in (H Phi^T)[alpha, j].
+
+    H[alpha, beta] = W[alpha + beta] gathers the ``block_moments`` of one sum
+    W and Phi^T[beta, j] is basis function j's coefficient of xi^beta, so H Phi^T
+    is W[:nkeep] @ G.  For each alpha, distinct beta reach distinct moments,
+    so every entry of G is 0 or one entry of Phi^T.  Read-only, (nkeep, d d).
+    """
+    basis = Basis(k, ndim)
+    e = np.array(basis.modes)
+    keep = block_moments(k, ndim)
+    hankel = np.searchsorted(keep, np.ravel_multi_index(
+        tuple(e[:, None, ax] + e[None, :, ax] for ax in range(ndim)), (2 * k + 1,) * ndim))
+    alpha, beta = np.indices(hankel.shape)
+    G = np.zeros((keep.size, basis.dim, basis.dim))
+    G[hankel, alpha] = _monomials(basis, np.zeros(ndim)).T[beta]
+    G = G.reshape(keep.size, -1)
+    G.setflags(write=False)
+    return G
+
+
 def remap_matrix(mesh, k: int, o: np.ndarray, c: np.ndarray, W: np.ndarray, centers: np.ndarray,
                  cfit: np.ndarray) -> sp.bsr_matrix:
     """Block-sparse remap operator from the summed moment tables of ``sum_moments``.
@@ -149,26 +171,24 @@ def remap_matrix(mesh, k: int, o: np.ndarray, c: np.ndarray, W: np.ndarray, cent
     the cell c wraps to: the owner's tests re-expanded about the unwrapped
     cell's center (``centers`` and ``cfit`` come from ``fit_tests``), the
     Hankel gather H[alpha, beta] = W[alpha + beta] from W's leading
-    ``block_moments`` entries and the basis's monomial coefficients.  The
-    blocks are contracted in runs of RUN straight into
+    ``block_moments`` entries and the basis's monomial coefficients; H Phi^T
+    is one product with the cached ``_hankel_table``.  The blocks are
+    contracted in runs of RUN straight into
     the operator's data array, so the temporaries stay a few runs' size.
     The caller drops its moment table before this call: with it, the
     assembly's peak would be the table's size on top of the blocks'.
     """
     basis = Basis(k, mesh.ndim)
-    e = np.array(basis.modes)
-    hankel = np.ravel_multi_index(tuple(e[:, None, ax] + e[None, :, ax] for ax in range(mesh.ndim)),
-                                  (2 * k + 1,) * mesh.ndim)
-    hankel = np.searchsorted(block_moments(k, mesh.ndim), hankel)
-    phi_t = _monomials(basis, np.zeros(mesh.ndim)).T
-    blocks = np.empty((len(o), basis.dim, basis.dim))
+    G = _hankel_table(k, mesh.ndim)
+    nkeep, d = G.shape[0], basis.dim
+    blocks = np.empty((len(o), d, d))
     for lo, hi in runs(len(o)):
-        # the owner's tests in the cell's frame, times the Hankel gather
+        # the owner's tests in the cell's frame, times H Phi^T
         psi = cfit[o[lo:hi]] @ _monomials(basis, c[lo:hi] + 0.5 - centers[o[lo:hi]])
-        np.matmul(psi @ W[lo:hi, hankel], phi_t, out=blocks[lo:hi])
+        np.matmul(psi, (W[lo:hi, :nkeep] @ G).reshape(-1, d, d), out=blocks[lo:hi])
     cells = np.ravel_multi_index(tuple(np.mod(c, mesh.shape).T), mesh.shape, order="F")
     indptr = np.searchsorted(o, np.arange(mesh.ncells + 1))
-    n = mesh.ncells * basis.dim
+    n = mesh.ncells * d
     return sp.bsr_matrix((blocks, cells, indptr), shape=(n, n))
 
 

@@ -287,7 +287,10 @@ def _piece_moments(mesh: Mesh, k: int, mode: str, seg: np.ndarray, s0: np.ndarra
         Q -= (-0.5) ** a
         Q /= a
         Q *= wg[..., None]
-        moments[lo:hi, :keep.size] = (np.swapaxes(Q, 1, 2) @ eta).reshape(hi - lo, -1)[:, keep]
+        # each piece's Q^T is a row-major view along the nodes; the batched product is
+        # fast only if eta is row-major too, so it gets a contiguous copy
+        moments[lo:hi, :keep.size] = (np.swapaxes(Q, 1, 2) @ np.ascontiguousarray(eta)).reshape(
+            hi - lo, -1)[:, keep]
         moments[lo:hi, keep.size:] = np.einsum("pg,pgb->pb", wg, eta)
     return moments
 

@@ -29,7 +29,8 @@ product, GMRES's Hessenberg matrix is tridiagonal and GMRES becomes MINRES
 residual's mass norm over the same Krylov space, with a three-term
 recurrence instead of orthogonalization against every earlier basis vector.
 The Euclidean residual still decides when a solve is done.  ``minres`` is
-this module's own; the tests compare its iterates with
+this module's own and runs on numpy alone, so no solver path loads
+``scipy.linalg``; the tests compare its iterates with
 ``scipy.sparse.linalg.minres`` on the symmetrized system.
 
 ``ldg.LDGOperator`` applies D as a block stencil.  The Krylov products use
@@ -182,11 +183,10 @@ def minres(matvec: Callable[[np.ndarray], np.ndarray], w: np.ndarray, b: np.ndar
     singular tridiagonal on a closed Krylov space ends the solve.  A zero b
     gives x = 0 without iterating.
 
-    Each iteration updates its vectors in place, the axpys by level-1 BLAS,
-    so ``matvec`` must return a new float64 array, which becomes the next
-    Lanczos vector.
+    Each iteration updates its vectors in place, the axpys through one
+    scratch vector, so ``matvec`` must return a new float64 array, which
+    becomes the next Lanczos vector.
     """
-    from scipy.linalg.blas import daxpy, dscal   # so only the Krylov path loads scipy.linalg
     n = b.size
     bnrm = float(np.linalg.norm(b))
     if bnrm == 0.0:
@@ -196,6 +196,7 @@ def minres(matvec: Callable[[np.ndarray], np.ndarray], w: np.ndarray, b: np.ndar
     r = b - matvec(x) if x.any() else b.copy()
     rnorm = float(np.linalg.norm(r))
     ptol = rtol * math.sqrt(b @ (w * b))
+    tmp = np.empty(n)
     its = 0
     while rnorm > atol and its < maxiter:
         wv = w * r
@@ -208,8 +209,8 @@ def minres(matvec: Callable[[np.ndarray], np.ndarray], w: np.ndarray, b: np.ndar
         while its < maxiter:
             p = matvec(v)
             alpha = float(wv @ p)
-            p = daxpy(v, p, a=-alpha)
-            p = daxpy(v_old, p, a=-beta)
+            p -= np.multiply(v, alpha, out=tmp)
+            p -= np.multiply(v_old, beta, out=tmp)
             wp = np.multiply(w, p, out=wv)
             beta_next = math.sqrt(p @ wp)
             # rotate the new column (beta, alpha, beta_next) of the tridiagonal
@@ -222,11 +223,11 @@ def minres(matvec: Callable[[np.ndarray], np.ndarray], w: np.ndarray, b: np.ndar
                 return x, its, float(np.linalg.norm(b - matvec(x))) <= atol
             c_old, s_old, c, s = c, s, a0 / a1, beta_next / a1
             # d_new = (v - a3 d_old - a2 d) / a1, written over d_old
-            d_new = dscal(-a3, d_old)
-            d_new = daxpy(v, d_new)
-            d_new = daxpy(d, d_new, a=-a2)
-            d_old, d = d, dscal(1.0 / a1, d_new)
-            x = daxpy(d, x, a=c * eta)
+            d_old *= -a3 / a1
+            d_old += np.multiply(v, 1.0 / a1, out=tmp)
+            d_old -= np.multiply(d, a2 / a1, out=tmp)
+            d_old, d = d, d_old
+            x += np.multiply(d, c * eta, out=tmp)
             eta *= -s
             if abs(eta) <= ptol:
                 break

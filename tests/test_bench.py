@@ -133,6 +133,19 @@ def test_temporal_study_slope_backward_euler():
     assert res.slopes["l1"] == pytest.approx(1.0, abs=0.2)
 
 
+@pytest.mark.parametrize("cfl", [(1.0,), (2.0, 2.0)])
+def test_temporal_study_needs_two_distinct_cfls(cfl):
+    # one CFL value gives no slope to fit
+    cfg = StudyConfig("ex31", k=0, tableau="be", meshes=(10,), cfl=cfl, solver=DIRECT)
+    with pytest.raises(ValueError, match="two distinct CFL"):
+        run_temporal_study(cfg)
+
+
+def test_study_config_rejects_unknown_cut_axis():
+    with pytest.raises(ValueError, match="cut axis"):
+        StudyConfig("ex35_shapes", cuts=(("x", 0.0), ("z", 1.0)))
+
+
 def test_qualitative_writes_files(tmp_path):
     cfg = StudyConfig(
         "ex35_shapes", k=1, tableau="dirk2", meshes=(16,), cfl=1.0, solver=DIRECT,
@@ -310,6 +323,25 @@ def test_cli_spatial_takes_one_cfl(capsys):
 
     assert main(["spatial", "--meshes", "10", "--solver", "direct", "--cfl", "1,2"]) == 2
     assert "--cfl" in capsys.readouterr().err
+
+
+def test_cli_temporal_needs_two_cfls(capsys):
+    from sldg.cli import main
+
+    assert main(["temporal", "--meshes", "10", "--k", "0", "--tableau", "be",
+                 "--solver", "direct", "--cfl", "1"]) == 2
+    err = capsys.readouterr()
+    assert "two distinct CFL" in err.err and "fitted slopes" not in err.out
+
+
+def test_cli_rejects_unknown_cut_axis(tmp_path, capsys):
+    from sldg.cli import main
+
+    assert main(["qualitative", "--problem", "ex34_shapes", "--k", "0", "--meshes", "10",
+                 "--solver", "direct", "--T", "0.1", "--cuts", "z:1.0",
+                 "--out", str(tmp_path)]) == 2
+    assert "--cuts" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_bad_config_rejected(tmp_path, capsys):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sldg import remap1d
 from sldg.characteristics import GL_POINTS, VelocityField, constant_1d, sine_1d, zero_field
 from sldg.core import Basis, DGField, Mesh1D, gauss_rule, mass_vector, project, total_mass
-from sldg.remap1d import (GeometryError, _monomials, assemble_remap_1d, fit_tests,
-                          traced_interval_points)
+from sldg.remap1d import (GeometryError, _hankel_table, _monomials, assemble_remap_1d,
+                          block_moments, fit_tests, traced_interval_points)
 from sldg.timeint import LinearSolverConfig, Stepper
 from sldg.verify import _project_translate_1d
 
@@ -77,6 +77,23 @@ def test_monomials_match_per_axis_gather(ndim, k):
     np.testing.assert_array_max_ulp(_monomials(basis, s), monomials_gather(basis, s), maxulp=1)
     np.testing.assert_array_max_ulp(_monomials(basis, np.zeros(ndim)),
                                     monomials_gather(basis, np.zeros(ndim)), maxulp=1)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_hankel_table_is_gather_times_basis(ndim, k):
+    # W[:nkeep] @ G must be the Hankel gather H[alpha, beta] = W[alpha + beta] times Phi^T
+    basis = Basis(k, ndim)
+    e = np.array(basis.modes)
+    keep = block_moments(k, ndim)
+    W = np.random.default_rng(10 * ndim + k).standard_normal((50, keep.size))
+    table = np.zeros((50, (2 * k + 1) ** ndim))
+    table[:, keep] = W
+    table = table.reshape((50,) + (2 * k + 1,) * ndim)
+    H = table[(slice(None),) + tuple(e[:, None, ax] + e[None, :, ax] for ax in range(ndim))]
+    want = H @ _monomials(basis, np.zeros(ndim)).T
+    got = (W @ _hankel_table(k, ndim)).reshape(want.shape)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
 
 def test_zero_velocity_single_subinterval():
